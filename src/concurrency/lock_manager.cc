@@ -28,6 +28,7 @@ const char* LockModeName(LockMode m) {
     case LockMode::kIntentionShared: return "IS";
     case LockMode::kIntentionExclusive: return "IX";
     case LockMode::kShared: return "S";
+    case LockMode::kSharedIntentionExclusive: return "SIX";
     case LockMode::kExclusive: return "X";
   }
   return "?";
@@ -42,24 +43,43 @@ bool LockCompatible(LockMode a, LockMode b) {
              b == LockMode::kIntentionExclusive;
     case LockMode::kShared:
       return b == LockMode::kIntentionShared || b == LockMode::kShared;
+    case LockMode::kSharedIntentionExclusive:
+      return b == LockMode::kIntentionShared;
     case LockMode::kExclusive:
       return false;
   }
   return false;
 }
 
-LockMode LockSupremum(LockMode a, LockMode b) {
-  if (a == b) return a;
-  const bool shared_side = a == LockMode::kShared || b == LockMode::kShared;
-  const bool ix_side = a == LockMode::kIntentionExclusive ||
-                       b == LockMode::kIntentionExclusive;
-  if (a == LockMode::kExclusive || b == LockMode::kExclusive ||
-      (shared_side && ix_side)) {
-    return LockMode::kExclusive;
+namespace {
+
+// Each mode as the set of rights it grants: is, ix (X below), s (read all),
+// x (write all). The supremum is the least mode whose set covers both.
+constexpr unsigned kRightIS = 1, kRightIX = 2, kRightS = 4, kRightX = 8;
+
+unsigned Rights(LockMode m) {
+  switch (m) {
+    case LockMode::kIntentionShared: return kRightIS;
+    case LockMode::kIntentionExclusive: return kRightIS | kRightIX;
+    case LockMode::kShared: return kRightIS | kRightS;
+    case LockMode::kSharedIntentionExclusive:
+      return kRightIS | kRightIX | kRightS;
+    case LockMode::kExclusive: return kRightIS | kRightIX | kRightS | kRightX;
   }
-  if (shared_side) return LockMode::kShared;
-  if (ix_side) return LockMode::kIntentionExclusive;
-  return LockMode::kIntentionShared;
+  return kRightIS | kRightIX | kRightS | kRightX;
+}
+
+}  // namespace
+
+LockMode LockSupremum(LockMode a, LockMode b) {
+  const unsigned r = Rights(a) | Rights(b);
+  if ((r & kRightX) != 0) return LockMode::kExclusive;
+  if ((r & kRightS) != 0) {
+    return (r & kRightIX) != 0 ? LockMode::kSharedIntentionExclusive
+                               : LockMode::kShared;
+  }
+  return (r & kRightIX) != 0 ? LockMode::kIntentionExclusive
+                             : LockMode::kIntentionShared;
 }
 
 bool IsDeadlockAbort(const Status& s) {
@@ -164,10 +184,22 @@ Status LockManager::WaitForGrant(std::unique_lock<std::mutex>& lk,
                                  bool upgrade) {
   ++stats_.waits;
   obs::Count(obs::Metrics::Get().engine_lock_waits);
-  const auto deadline = std::chrono::steady_clock::now() +
+  const auto started = std::chrono::steady_clock::now();
+  const auto deadline = started +
                         std::chrono::duration_cast<std::chrono::milliseconds>(
                             std::chrono::duration<double>(
                                 options_.wait_timeout_seconds));
+  // Every exit — grant or abort — lands the wait's wall time in the
+  // lock-wait histogram.
+  struct WaitTimer {
+    std::chrono::steady_clock::time_point started;
+    ~WaitTimer() {
+      obs::Observe(obs::Metrics::Get().engine_lock_wait_latency,
+                   std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - started)
+                       .count());
+    }
+  } timer{started};
   for (;;) {
     // The queue map may rehash while we slept; re-find everything.
     auto qit = queues_.find(res);
@@ -255,6 +287,30 @@ Status LockManager::Acquire(int64_t txn_id, ResourceId res, LockMode mode) {
   return granted;
 }
 
+bool LockManager::TryAcquire(int64_t txn_id, ResourceId res, LockMode mode) {
+  std::lock_guard<std::mutex> lk(mu_);
+  Queue& q = queues_[res];  // a new, empty queue grants below
+  if (Request* mine = FindRequest(q, txn_id); mine != nullptr) {
+    IRDB_CHECK_MSG(mine->granted && !mine->upgrade,
+                   "TryAcquire while blocked");
+    const LockMode sup = LockSupremum(mine->mode, mode);
+    if (sup == mine->mode) return true;
+    if (!CompatibleWithGranted(q, txn_id, sup)) return false;
+    ++stats_.upgrades;
+    mine->mode = sup;
+    return true;
+  }
+  // FIFO, as in Promote: a queued waiter bars every later newcomer.
+  for (const Request& r : q.reqs) {
+    if (!r.granted) return false;
+  }
+  if (!CompatibleWithGranted(q, txn_id, mode)) return false;
+  q.reqs.push_back(Request{txn_id, mode, mode, true, false});
+  held_[txn_id].push_back(res);
+  ++stats_.acquisitions;
+  return true;
+}
+
 void LockManager::ReleaseAll(int64_t txn_id) {
   std::lock_guard<std::mutex> lk(mu_);
   auto hit = held_.find(txn_id);
@@ -302,6 +358,22 @@ bool LockManager::holds(int64_t txn_id, ResourceId res,
     }
   }
   return false;
+}
+
+std::vector<std::pair<ResourceId, LockMode>> LockManager::held_locks(
+    int64_t txn_id) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  std::vector<std::pair<ResourceId, LockMode>> out;
+  auto it = held_.find(txn_id);
+  if (it == held_.end()) return out;
+  for (const ResourceId& res : it->second) {
+    auto qit = queues_.find(res);
+    if (qit == queues_.end()) continue;
+    for (const Request& r : qit->second.reqs) {
+      if (r.txn_id == txn_id && r.granted) out.emplace_back(res, r.mode);
+    }
+  }
+  return out;
 }
 
 }  // namespace irdb::concurrency

@@ -1,12 +1,16 @@
 // Hierarchical two-phase lock manager (DESIGN.md §5f).
 //
-// Resources form a two-level hierarchy: a table, and keys within a table
-// (a key is the FNV hash of a row's primary-key values — stable across the
-// page compactions that make RowLoc unusable as a lock name). Statements
-// lock top-down: an intention mode on the table, then S/X on the keys they
-// touch; coarse statements (scans, non-key-predicate writes) take S/X on
-// the table itself. Locks are strict two-phase: acquired before a statement
-// executes, held until the owning transaction commits or aborts.
+// Resources form a three-level hierarchy: a table, partitions within a
+// table (the FNV hash of the leading primary-key column's value — on TPC-C,
+// the warehouse), and keys (the FNV hash of a row's whole primary key —
+// stable across the page compactions that make RowLoc unusable as a lock
+// name). Statements lock top-down: intention modes on the table and
+// partition, then S/X on the keys they touch; scans and non-key writes
+// pinned to one partition take S/X on the partition; unpinned ones take S/X
+// on the table itself. Locks are strict two-phase: acquired before a
+// statement executes (or, for index nested-loop join probes, while it
+// executes — see TryAcquire), held until the owning transaction commits or
+// aborts.
 //
 // Grants are FIFO per resource: a waiter blocks every later non-upgrade
 // request even if that request is compatible with the granted group, so
@@ -31,6 +35,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -38,10 +43,11 @@
 namespace irdb::concurrency {
 
 enum class LockMode : uint8_t {
-  kIntentionShared = 0,   // IS: will take S on some keys below
-  kIntentionExclusive,    // IX: will take X on some keys below
-  kShared,                // S: read the whole resource
-  kExclusive,             // X: write the whole resource
+  kIntentionShared = 0,       // IS: will take S on something below
+  kIntentionExclusive,        // IX: will take X on something below
+  kShared,                    // S: read the whole resource
+  kSharedIntentionExclusive,  // SIX: read it all, X on something below
+  kExclusive,                 // X: write the whole resource
 };
 
 const char* LockModeName(LockMode m);
@@ -49,24 +55,43 @@ const char* LockModeName(LockMode m);
 // Compatibility of a requested mode against a held mode (symmetric).
 bool LockCompatible(LockMode a, LockMode b);
 
-// Least mode at least as strong as both (the S+IX combination collapses to
-// X — we do not model SIX).
+// Least mode at least as strong as both: IS < IX, S < SIX < X (S+IX is
+// SIX, not X).
 LockMode LockSupremum(LockMode a, LockMode b);
 
 // Name of a lockable resource. key_hash == 0 names the table itself; key
-// hashes are constructed with the low bit forced on, so 0 is never a key.
+// hashes have the low bit forced on and partition hashes the low bit off
+// and bit 1 on, so the three levels never collide.
 struct ResourceId {
   int32_t table_id = 0;
   uint64_t key_hash = 0;
 
+  enum Level : int { kTableLevel = 0, kPartitionLevel = 1, kKeyLevel = 2 };
+
   static ResourceId Table(int32_t table_id) { return {table_id, 0}; }
+  static ResourceId Partition(int32_t table_id, uint64_t hash) {
+    return {table_id, (hash | 2) & ~uint64_t{1}};
+  }
   static ResourceId Key(int32_t table_id, uint64_t hash) {
     return {table_id, hash | 1};
   }
 
+  int level() const {
+    if (key_hash == 0) return kTableLevel;
+    return (key_hash & 1) != 0 ? kKeyLevel : kPartitionLevel;
+  }
   bool is_table() const { return key_hash == 0; }
+  bool is_partition() const { return level() == kPartitionLevel; }
+  bool is_key() const { return level() == kKeyLevel; }
   bool operator==(const ResourceId& o) const {
     return table_id == o.table_id && key_hash == o.key_hash;
+  }
+  // Lock order: (table, level, hash) — a plan sorted by it is taken
+  // top-down, and every statement takes its locks in one global order.
+  bool operator<(const ResourceId& o) const {
+    if (table_id != o.table_id) return table_id < o.table_id;
+    if (level() != o.level()) return level() < o.level();
+    return key_hash < o.key_hash;
   }
 };
 
@@ -120,6 +145,14 @@ class LockManager {
   // by the transaction are kept (the caller decides how much to roll back).
   Status Acquire(int64_t txn_id, ResourceId res, LockMode mode);
 
+  // Never blocks: grants `mode` (or widens the held grant to cover it) only
+  // if that needs no wait — compatible with every other grant and, for a
+  // new request, no earlier waiter queued. Returns false and leaves no
+  // trace otherwise; the caller is expected to let go of whatever it holds
+  // (latches) and block in Acquire instead. Used by index nested-loop join
+  // probes, which discover their keys while holding table latches.
+  bool TryAcquire(int64_t txn_id, ResourceId res, LockMode mode);
+
   // Releases every lock held by `txn_id` and wakes eligible waiters.
   void ReleaseAll(int64_t txn_id);
 
@@ -128,6 +161,9 @@ class LockManager {
   // Introspection for tests.
   int64_t held_count(int64_t txn_id) const;
   bool holds(int64_t txn_id, ResourceId res, LockMode at_least) const;
+  // Every grant `txn_id` holds, with its granted mode.
+  std::vector<std::pair<ResourceId, LockMode>> held_locks(
+      int64_t txn_id) const;
 
  private:
   struct Request {

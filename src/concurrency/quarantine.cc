@@ -1,5 +1,7 @@
 #include "concurrency/quarantine.h"
 
+#include <algorithm>
+
 #include "obs/catalog.h"
 #include "obs/metrics.h"
 
@@ -27,9 +29,12 @@ int QuarantineManager::Add(const std::vector<QuarantineSlice>& slices) {
         // The whole table subsumes any bucket already registered for it.
         t.whole_table = true;
         t.buckets.clear();
+        t.partitions.clear();
         ++added;
       }
-    } else if (!t.whole_table && t.buckets.insert(s.key_hash).second) {
+    } else if (!t.whole_table &&
+               t.buckets.emplace(s.key_hash, s.partition_hash).second) {
+      if (s.partition_hash != 0) ++t.partitions[s.partition_hash];
       ++added;
     }
   }
@@ -55,11 +60,18 @@ int QuarantineManager::ReleaseKey(int32_t table_id, uint64_t key_hash) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = tables_.find(table_id);
   if (it == tables_.end() || it->second.whole_table) return 0;
-  const int released = static_cast<int>(it->second.buckets.erase(key_hash));
-  if (it->second.buckets.empty()) tables_.erase(it);
-  released_total_ += released;
+  TableSlices& t = it->second;
+  auto b = t.buckets.find(key_hash);
+  if (b == t.buckets.end()) return 0;
+  if (b->second != 0) {
+    auto p = t.partitions.find(b->second);
+    if (--p->second == 0) t.partitions.erase(p);
+  }
+  t.buckets.erase(b);
+  if (t.buckets.empty()) tables_.erase(it);
+  ++released_total_;
   PublishGauge();
-  return released;
+  return 1;
 }
 
 void QuarantineManager::End() {
@@ -72,63 +84,68 @@ void QuarantineManager::End() {
 
 bool QuarantineManager::Blocks(const ResourceId& res, LockMode mode) const {
   std::lock_guard<std::mutex> lk(mu_);
+  return BlocksLocked(res, mode);
+}
+
+bool QuarantineManager::BlocksLocked(const ResourceId& res,
+                                     LockMode mode) const {
   auto it = tables_.find(res.table_id);
   if (it == tables_.end()) return false;
   const TableSlices& t = it->second;
-  if (res.is_table()) {
-    if (t.whole_table) return true;
-    // A coarse S/X on the table reads or writes every row, quarantined
-    // buckets included; intention modes name their keys separately and are
-    // judged per key.
-    return mode == LockMode::kShared || mode == LockMode::kExclusive;
+  if (t.whole_table) return true;
+  // S, SIX and X read or write every row below the resource, quarantined
+  // buckets included; intention modes name their keys separately and are
+  // judged per key.
+  const bool covers = mode == LockMode::kShared ||
+                      mode == LockMode::kSharedIntentionExclusive ||
+                      mode == LockMode::kExclusive;
+  switch (res.level()) {
+    case ResourceId::kTableLevel:
+      return covers;
+    case ResourceId::kPartitionLevel:
+      return covers && t.partitions.count(res.key_hash) > 0;
+    default:
+      return t.buckets.count(res.key_hash) > 0;
   }
-  return t.whole_table || t.buckets.count(res.key_hash) > 0;
 }
 
 bool QuarantineManager::HoldsOverlapping(const LockManager& lm,
                                          int64_t txn_id) const {
-  // Snapshot the slices, then query the lock manager without holding mu_
-  // (the lock manager has its own mutex; never nest the two).
-  std::vector<std::pair<ResourceId, bool>> probes;  // (resource, whole_table)
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& [table_id, t] : tables_) {
-      probes.emplace_back(ResourceId::Table(table_id), t.whole_table);
-      for (uint64_t h : t.buckets) {
-        probes.emplace_back(ResourceId{table_id, h}, false);
-      }
-    }
-  }
-  for (const auto& [res, whole] : probes) {
-    if (res.is_table()) {
-      // Any held mode overlaps a whole-table slice; for a bucket-sliced
-      // table only a coarse S/X (a scan covering the buckets) does —
-      // intention holders are checked via their key locks below.
-      const LockMode floor =
-          whole ? LockMode::kIntentionShared : LockMode::kShared;
-      if (lm.holds(txn_id, res, floor)) return true;
-    } else if (lm.holds(txn_id, res, LockMode::kShared)) {
-      return true;
-    }
+  // Snapshot the transaction's grants, then judge them under mu_ (the lock
+  // manager has its own mutex; never nest the two).
+  const auto held = lm.held_locks(txn_id);
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& [res, mode] : held) {
+    if (BlocksLocked(res, mode)) return true;
   }
   return false;
 }
 
 std::vector<std::pair<ResourceId, LockMode>> QuarantineManager::DrainPlan()
     const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::vector<std::pair<ResourceId, LockMode>> plan;
-  for (const auto& [table_id, t] : tables_) {
-    if (t.whole_table) {
-      plan.emplace_back(ResourceId::Table(table_id), LockMode::kExclusive);
-      continue;
-    }
-    plan.emplace_back(ResourceId::Table(table_id),
-                      LockMode::kIntentionExclusive);
-    for (uint64_t h : t.buckets) {
-      plan.emplace_back(ResourceId{table_id, h}, LockMode::kExclusive);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const auto& [table_id, t] : tables_) {
+      if (t.whole_table) {
+        plan.emplace_back(ResourceId::Table(table_id), LockMode::kExclusive);
+        continue;
+      }
+      plan.emplace_back(ResourceId::Table(table_id),
+                        LockMode::kIntentionExclusive);
+      for (const auto& [p, n] : t.partitions) {
+        (void)n;
+        plan.emplace_back(ResourceId{table_id, p},
+                          LockMode::kIntentionExclusive);
+      }
+      for (const auto& [b, p] : t.buckets) {
+        (void)p;
+        plan.emplace_back(ResourceId{table_id, b}, LockMode::kExclusive);
+      }
     }
   }
+  std::sort(plan.begin(), plan.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   return plan;
 }
 

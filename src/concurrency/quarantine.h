@@ -3,7 +3,8 @@
 //
 // During RepairOnline the contaminated partition is registered here as a
 // set of slices in the lock manager's resource space: whole tables
-// (key_hash == 0) and single key-hash buckets. The engine consults the
+// (key_hash == 0) and single key-hash buckets, each bucket tagged with the
+// partition (leading primary-key value) it lives in. The engine consults the
 // manager on the 2PL lock-plan path — after a statement's lock plan is
 // derived but before any lock is acquired — and rejects statements whose
 // plan touches a quarantined slice with a "[quarantine]"-tagged
@@ -24,7 +25,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -34,10 +34,14 @@
 namespace irdb::concurrency {
 
 // One quarantined slice: a whole table (key_hash == 0) or one key-hash
-// bucket of it (ResourceId::Key space — low bit forced on).
+// bucket of it (ResourceId::Key space — low bit forced on). A bucket of a
+// table whose primary key has two or more columns also names its partition
+// (ResourceId::Partition space); partition_hash == 0 means the table has no
+// partition level (single-column key), so no partition lock can cover it.
 struct QuarantineSlice {
   int32_t table_id = 0;
   uint64_t key_hash = 0;
+  uint64_t partition_hash = 0;
 
   bool is_table() const { return key_hash == 0; }
 };
@@ -78,19 +82,21 @@ class QuarantineManager {
   }
 
   // The lock-plan gate: would a statement holding `mode` on `res` touch
-  // quarantined data? Table-level S/X (scans, coarse writes) conflict with
-  // ANY slice of the table; intention modes only with a whole-table slice
-  // (their key locks are checked individually); key locks conflict with
-  // their own bucket or a whole-table slice.
+  // quarantined data? Table-level S/SIX/X (scans, coarse writes) conflict
+  // with ANY slice of the table; partition-level S/SIX/X with any bucket of
+  // that partition; intention modes only with a whole-table slice (their
+  // key locks are checked individually); key locks conflict with their own
+  // bucket or a whole-table slice.
   bool Blocks(const ResourceId& res, LockMode mode) const;
 
-  // True when `txn_id` already holds a lock overlapping the quarantine —
+  // True when `txn_id` already holds a lock that Blocks would refuse —
   // such a transaction pins contaminated slices and must be aborted for
   // the repair's drain to complete.
   bool HoldsOverlapping(const LockManager& lm, int64_t txn_id) const;
 
-  // Current slices as lockable resources for the drain pass: whole table →
-  // table X; bucket → table IX plus key X.
+  // Current slices as lockable resources for the drain pass, in lock order:
+  // whole table → table X; bucket → table IX, partition IX (which waits out
+  // in-flight partition scanners) and key X.
   std::vector<std::pair<ResourceId, LockMode>> DrainPlan() const;
 
   // Bumps the reject accounting (callers surface the actual status).
@@ -101,9 +107,11 @@ class QuarantineManager {
  private:
   struct TableSlices {
     bool whole_table = false;
-    std::unordered_set<uint64_t> buckets;
+    std::unordered_map<uint64_t, uint64_t> buckets;  // bucket → partition
+    std::unordered_map<uint64_t, int> partitions;    // partition → buckets
   };
 
+  bool BlocksLocked(const ResourceId& res, LockMode mode) const;  // mu_ held
   int CountLocked() const;     // total slices, mu_ held
   void PublishGauge() const;   // slice-count gauge, mu_ held
 

@@ -284,10 +284,12 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
   // release it, then block on the 2PL locks (never wait on a lock while
   // holding any latch), then execute under per-table latches.
   std::vector<LockPlanEntry> plan;
+  s.probe = ProbeLocks{};
   {
     std::shared_lock<std::shared_mutex> cat(catalog_latch_);
-    PlanStatementLocks(stmt, &plan);
+    PlanStatementLocks(stmt, &plan, &s.probe.depths);
   }
+  SortLockPlan(&plan);
   // Quarantine gate (DESIGN.md §5g): while an online repair holds a
   // quarantine, statements whose lock plan touches a fenced slice are
   // rejected with a retryable, "[quarantine]"-tagged kUnavailable before
@@ -307,43 +309,35 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
         quarantine_.HoldsOverlapping(txn_mgr_.locks(), s.txn_id)) {
       blocked = true;
     }
-    if (blocked) {
-      quarantine_.CountReject();
-      if (s.in_txn) {
-        Status rb = RollbackTxnConcurrent(s);
-        txn_mgr_.Abort(s.txn_id);
-        s.poisoned = true;
-        s.quarantine_poisoned = true;
-        IRDB_RETURN_IF_ERROR(rb);
-      }
-      return Status::Unavailable(
-          std::string(kQuarantineTag) +
-          " slice quarantined by online repair; retry after release");
-    }
+    if (blocked) return RejectQuarantined(s, autocommit);
   }
   if (autocommit) {
     BeginTxn(s);
     txn_mgr_.Begin(s.txn_id);
   }
   if (Status locked = AcquirePlanLocks(s.txn_id, plan); !locked.ok()) {
-    // This transaction is the deadlock victim: undo everything it has done
-    // (no effects from *this* statement exist yet — locks come first),
-    // release its locks, and surface the tagged abort. For autocommit the
-    // statement was the whole transaction, so retrying it is safe and the
-    // tag is widened to the retryable form; an explicit transaction's
-    // client must acknowledge the abort with ROLLBACK before continuing.
-    stats_.deadlock_aborts.fetch_add(1, std::memory_order_relaxed);
-    Status rb = RollbackTxnConcurrent(s);
-    txn_mgr_.Abort(s.txn_id);
-    IRDB_RETURN_IF_ERROR(rb);
-    if (autocommit) {
-      return Status::Aborted(std::string(kRetryableAbortTag) + " " +
-                             locked.message());
-    }
-    s.poisoned = true;
-    return locked;
+    return AbortDeadlockVictim(s, autocommit, std::move(locked));
   }
+  s.probe.txn_id = s.txn_id;
+  s.probe.quarantine_exempt = s.quarantine_exempt;
   Result<ResultSet> result = DispatchConcurrent(s, stmt);
+  // A join probe whose key lock would have waited stopped the SELECT (no
+  // side effects yet) and released its latches with it: wait for that lock
+  // like any planned one — gate, deadlock detection and all — then re-run.
+  while (!result.ok() && s.probe.blocked.has_value()) {
+    const LockPlanEntry need = *s.probe.blocked;
+    s.probe.blocked.reset();
+    if (quarantine_.active() && !s.quarantine_exempt &&
+        quarantine_.Blocks(need.res, need.mode)) {
+      return RejectQuarantined(s, autocommit);
+    }
+    if (Status locked = txn_mgr_.locks().Acquire(s.txn_id, need.res,
+                                                 need.mode);
+        !locked.ok()) {
+      return AbortDeadlockVictim(s, autocommit, std::move(locked));
+    }
+    result = DispatchConcurrent(s, stmt);
+  }
   if (result.ok()) {
     JournalStmt(s, stmt, *result);
     if (autocommit) {
@@ -355,6 +349,42 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
   (void)RollbackTxnConcurrent(s);
   txn_mgr_.Abort(s.txn_id);
   return result;
+}
+
+Status Database::RejectQuarantined(Session& s, bool autocommit) {
+  quarantine_.CountReject();
+  if (s.in_txn) {
+    Status rb = RollbackTxnConcurrent(s);
+    txn_mgr_.Abort(s.txn_id);
+    if (!autocommit) {
+      s.poisoned = true;
+      s.quarantine_poisoned = true;
+    }
+    IRDB_RETURN_IF_ERROR(rb);
+  }
+  return Status::Unavailable(
+      std::string(kQuarantineTag) +
+      " slice quarantined by online repair; retry after release");
+}
+
+Status Database::AbortDeadlockVictim(Session& s, bool autocommit,
+                                     Status locked) {
+  // This transaction is the deadlock victim: undo everything it has done
+  // (no effects from *this* statement exist yet — locks come first),
+  // release its locks, and surface the tagged abort. For autocommit the
+  // statement was the whole transaction, so retrying it is safe and the
+  // tag is widened to the retryable form; an explicit transaction's
+  // client must acknowledge the abort with ROLLBACK before continuing.
+  stats_.deadlock_aborts.fetch_add(1, std::memory_order_relaxed);
+  Status rb = RollbackTxnConcurrent(s);
+  txn_mgr_.Abort(s.txn_id);
+  IRDB_RETURN_IF_ERROR(rb);
+  if (autocommit) {
+    return Status::Aborted(std::string(kRetryableAbortTag) + " " +
+                           locked.message());
+  }
+  s.poisoned = true;
+  return locked;
 }
 
 Result<ResultSet> Database::Dispatch(Session& s, const sql::Statement& stmt) {
@@ -424,7 +454,8 @@ DbStats Database::stats() const {
 // ------------------------------------------------------------ lock planning
 
 void Database::PlanStatementLocks(const sql::Statement& stmt,
-                                  std::vector<LockPlanEntry>* plan) {
+                                  std::vector<LockPlanEntry>* plan,
+                                  std::vector<size_t>* probe_depths) {
   using concurrency::LockMode;
   using concurrency::ResourceId;
 
@@ -435,7 +466,7 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
 
   switch (stmt.kind) {
     case sql::StatementKind::kSelect:
-      PlanSelectLocks(stmt, plan);
+      PlanSelectLocks(stmt, plan, probe_depths);
       return;
 
     case sql::StatementKind::kInsert: {
@@ -446,6 +477,8 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
       const TableIndex* index = table->index();
       plan->push_back({ResourceId::Table(*id), LockMode::kIntentionExclusive});
       if (index == nullptr) return;  // appends under IX; no keys to name
+      const std::vector<int>& key_cols = index->key_columns();
+      const bool partitioned = key_cols.size() >= 2;
 
       // Map provided values to column indices (mirrors ExecInsert).
       std::vector<int> target_cols;
@@ -462,7 +495,7 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
       }
       for (const auto& value_exprs : stmt.insert_rows) {
         std::vector<const sql::Expr*> key_exprs;
-        for (int kc : index->key_columns()) {
+        for (int kc : key_cols) {
           const sql::Expr* e = nullptr;
           for (size_t j = 0; j < target_cols.size(); ++j) {
             if (target_cols[j] == kc && j < value_exprs.size()) {
@@ -472,12 +505,24 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
           }
           key_exprs.push_back(e);  // nullptr → identity/default-assigned
         }
-        auto h = HashKeyLiterals(schema, index->key_columns(), key_exprs);
+        std::optional<uint64_t> p;
+        auto h = HashKeyLiterals(schema, key_cols, key_exprs,
+                                 partitioned ? &p : nullptr);
         if (!h.has_value()) {
           // Key not known before execution (identity column, expression):
-          // coarsen to table X so no reader can miss the new row.
-          coarse(*id, LockMode::kExclusive);
-          return;
+          // X on its partition, or on the whole table, so no reader can
+          // miss the new row.
+          if (!p.has_value()) {
+            coarse(*id, LockMode::kExclusive);
+            return;
+          }
+          plan->push_back(
+              {ResourceId::Partition(*id, *p), LockMode::kExclusive});
+          continue;
+        }
+        if (p.has_value()) {
+          plan->push_back(
+              {ResourceId::Partition(*id, *p), LockMode::kIntentionExclusive});
         }
         plan->push_back({ResourceId::Key(*id, *h), LockMode::kExclusive});
       }
@@ -492,14 +537,15 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
       const Schema& schema = table->schema();
       const TableIndex* index = table->index();
       if (index == nullptr) {
-        coarse(*id, concurrency::LockMode::kExclusive);
+        coarse(*id, LockMode::kExclusive);
         return;
       }
+      const std::vector<int>& key_cols = index->key_columns();
       // An UPDATE that assigns a key column would change the row's lock
       // name mid-transaction; coarsen to table X.
       for (const auto& [name, expr] : stmt.assignments) {
         (void)expr;
-        for (int kc : index->key_columns()) {
+        for (int kc : key_cols) {
           if (EqualsIgnoreCase(schema.column(static_cast<size_t>(kc)).name,
                                name)) {
             coarse(*id, LockMode::kExclusive);
@@ -510,17 +556,28 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
       std::unordered_map<std::string, const sql::Expr*> eq;
       CollectKeyEqExprs(stmt.where.get(), stmt.table, &eq);
       std::vector<const sql::Expr*> key_exprs;
-      for (int kc : index->key_columns()) {
+      for (int kc : key_cols) {
         auto it = eq.find(
             ToLowerAscii(schema.column(static_cast<size_t>(kc)).name));
         key_exprs.push_back(it == eq.end() ? nullptr : it->second);
       }
-      auto h = HashKeyLiterals(schema, index->key_columns(), key_exprs);
-      if (!h.has_value()) {
+      std::optional<uint64_t> p;
+      auto h = HashKeyLiterals(schema, key_cols, key_exprs,
+                               key_cols.size() >= 2 ? &p : nullptr);
+      if (!h.has_value() && !p.has_value()) {
         coarse(*id, LockMode::kExclusive);  // predicate not key-local
         return;
       }
       plan->push_back({ResourceId::Table(*id), LockMode::kIntentionExclusive});
+      if (!h.has_value()) {
+        // Pinned to one partition but not to one key.
+        plan->push_back({ResourceId::Partition(*id, *p), LockMode::kExclusive});
+        return;
+      }
+      if (p.has_value()) {
+        plan->push_back(
+            {ResourceId::Partition(*id, *p), LockMode::kIntentionExclusive});
+      }
       plan->push_back({ResourceId::Key(*id, *h), LockMode::kExclusive});
       return;
     }
@@ -532,7 +589,8 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
 
 std::optional<uint64_t> Database::HashKeyLiterals(
     const Schema& schema, const std::vector<int>& key_columns,
-    const std::vector<const sql::Expr*>& exprs) {
+    const std::vector<const sql::Expr*>& exprs,
+    std::optional<uint64_t>* leading) {
   if (exprs.size() != key_columns.size()) return std::nullopt;
   RowBinding empty_binding;
   empty_binding.traits = &traits_;
@@ -546,38 +604,53 @@ std::optional<uint64_t> Database::HashKeyLiterals(
         schema.CoerceForColumn(static_cast<size_t>(key_columns[i]), *v);
     if (!coerced.ok()) return std::nullopt;
     coerced->AppendTo(&repr);
+    if (i == 0 && leading != nullptr) *leading = Fnv1a(repr);
   }
   return Fnv1a(repr);
 }
 
-Status Database::AcquirePlanLocks(int64_t txn_id,
-                                  const std::vector<LockPlanEntry>& plan) {
-  // Deterministic global order (tables before their keys, ids ascending)
-  // keeps single-statement plans deadlock-free against each other; cycles
-  // can only come from multi-statement transactions, which is what the
+void Database::SortLockPlan(std::vector<LockPlanEntry>* plan) {
+  // Deterministic global order (table, level, hash: every table before its
+  // partitions, every partition before its keys) keeps single-statement
+  // plans deadlock-free against each other; cycles can only come from
+  // multi-statement transactions and join probes, which is what the
   // waits-for detector is for. Duplicate resources merge to the supremum.
-  std::vector<LockPlanEntry> sorted = plan;
-  std::sort(sorted.begin(), sorted.end(),
+  std::sort(plan->begin(), plan->end(),
             [](const LockPlanEntry& a, const LockPlanEntry& b) {
-              if (a.res.table_id != b.res.table_id) {
-                return a.res.table_id < b.res.table_id;
-              }
-              return a.res.key_hash < b.res.key_hash;
+              return a.res < b.res;
             });
   size_t out = 0;
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (out > 0 && sorted[out - 1].res == sorted[i].res) {
-      sorted[out - 1].mode =
-          concurrency::LockSupremum(sorted[out - 1].mode, sorted[i].mode);
+  for (size_t i = 0; i < plan->size(); ++i) {
+    LockPlanEntry& e = (*plan)[i];
+    if (out > 0 && (*plan)[out - 1].res == e.res) {
+      (*plan)[out - 1].mode =
+          concurrency::LockSupremum((*plan)[out - 1].mode, e.mode);
     } else {
-      sorted[out++] = sorted[i];
+      (*plan)[out++] = e;
     }
   }
-  sorted.resize(out);
-  for (const LockPlanEntry& e : sorted) {
+  plan->resize(out);
+}
+
+Status Database::AcquirePlanLocks(int64_t txn_id,
+                                  const std::vector<LockPlanEntry>& plan) {
+  for (const LockPlanEntry& e : plan) {
     IRDB_RETURN_IF_ERROR(txn_mgr_.locks().Acquire(txn_id, e.res, e.mode));
   }
   return Status::Ok();
+}
+
+Result<Database::LockPlanView> Database::ExplainLocks(std::string_view sql) {
+  IRDB_ASSIGN_OR_RETURN(sql::StatementPtr stmt, sql::Parse(sql));
+  std::vector<LockPlanEntry> plan;
+  LockPlanView view;
+  {
+    std::shared_lock<std::shared_mutex> cat(catalog_latch_);
+    PlanStatementLocks(*stmt, &plan, &view.probe_depths);
+  }
+  SortLockPlan(&plan);
+  for (const LockPlanEntry& e : plan) view.locks.emplace_back(e.res, e.mode);
+  return view;
 }
 
 // ------------------------------------------------------------------ txn ctl
@@ -1106,15 +1179,15 @@ int Database::EvictQuarantinePinnedTxns() {
   return evicted;
 }
 
-std::optional<uint64_t> Database::KeyHashForValues(
-    const std::string& table,
-    const std::vector<std::pair<std::string, Value>>& row_values) const {
-  std::shared_lock<std::shared_mutex> cat(catalog_latch_);
-  const HeapTable* t = catalog_.Find(table);
-  if (t == nullptr || t->index() == nullptr) return std::nullopt;
-  const Schema& schema = t->schema();
+namespace {
+
+// FNV hash of the coerced values of `key_columns`, looked up by name in
+// `row_values`; nullopt when one is missing or does not coerce.
+std::optional<uint64_t> HashNamedValues(
+    const Schema& schema, const std::vector<int>& key_columns,
+    const std::vector<std::pair<std::string, Value>>& row_values) {
   std::string repr;
-  for (int kc : t->index()->key_columns()) {
+  for (int kc : key_columns) {
     const std::string& key_name = schema.column(static_cast<size_t>(kc)).name;
     const Value* found = nullptr;
     for (const auto& [name, v] : row_values) {
@@ -1129,6 +1202,30 @@ std::optional<uint64_t> Database::KeyHashForValues(
     coerced->AppendTo(&repr);
   }
   return Fnv1a(repr);
+}
+
+}  // namespace
+
+std::optional<uint64_t> Database::KeyHashForValues(
+    const std::string& table,
+    const std::vector<std::pair<std::string, Value>>& row_values) const {
+  std::shared_lock<std::shared_mutex> cat(catalog_latch_);
+  const HeapTable* t = catalog_.Find(table);
+  if (t == nullptr || t->index() == nullptr) return std::nullopt;
+  return HashNamedValues(t->schema(), t->index()->key_columns(), row_values);
+}
+
+std::optional<uint64_t> Database::PartitionHashForValues(
+    const std::string& table,
+    const std::vector<std::pair<std::string, Value>>& row_values) const {
+  std::shared_lock<std::shared_mutex> cat(catalog_latch_);
+  const HeapTable* t = catalog_.Find(table);
+  if (t == nullptr || t->index() == nullptr ||
+      t->index()->key_columns().size() < 2) {
+    return std::nullopt;
+  }
+  return HashNamedValues(t->schema(), {t->index()->key_columns()[0]},
+                         row_values);
 }
 
 std::optional<std::pair<int32_t, std::vector<std::string>>>

@@ -4,16 +4,19 @@
 //
 // Concurrency model (DESIGN.md §5f): statements from different sessions
 // execute concurrently under strict two-phase locking. Before a statement
-// runs, the engine derives a lock plan from its AST — an intention mode on
-// each referenced table plus S/X key locks when the statement provably
-// touches single primary keys, coarsening to table S/X otherwise — and
-// acquires it through the transaction manager (src/concurrency). Locks are
-// held until COMMIT/ROLLBACK; waits-for-graph detection aborts deadlocked
+// runs, the engine derives a lock plan from its AST — intention modes on
+// each referenced table and partition plus S/X key locks when the
+// statement provably touches single primary keys, S/X on the partition
+// when it pins the leading key column, table S/X otherwise — and acquires
+// it through the transaction manager (src/concurrency). Index nested-loop
+// join probes lock their keys as they run instead (never waiting under a
+// latch: the SELECT stops, waits outside, and re-runs). Locks are held
+// until COMMIT/ROLLBACK; waits-for-graph detection aborts deadlocked
 // requesters with a "[deadlock]"-tagged kAborted status (retryable for
 // autocommit statements, whose transaction the abort fully undoes).
 // Physical safety inside a statement comes from per-table latches (shared
-// for reads, exclusive for writes), always taken after every 2PL lock is
-// granted and in table-id order, so latches never deadlock.
+// for reads, exclusive for writes), always taken after the planned 2PL
+// locks are granted and in table-id order, so latches never deadlock.
 //
 // set_serial_mode(true) restores the pre-lock-manager behaviour — one
 // global mutex around every statement — and exists as the baseline leg of
@@ -76,6 +79,16 @@ class Database {
   // carries text, as the paper's portability argument requires).
   Result<ResultSet> ExecuteParsed(int64_t session_id, const sql::Statement& stmt);
 
+  // The lock plan the concurrent engine declares for `sql` before running
+  // it — resources in lock order, duplicates merged — and the FROM
+  // positions it locks per join probe instead. Parses and plans only.
+  struct LockPlanView {
+    std::vector<std::pair<concurrency::ResourceId, concurrency::LockMode>>
+        locks;
+    std::vector<size_t> probe_depths;
+  };
+  Result<LockPlanView> ExplainLocks(std::string_view sql);
+
   const FlavorTraits& traits() const { return traits_; }
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }
@@ -134,6 +147,13 @@ class Database {
   std::optional<uint64_t> KeyHashForValues(
       const std::string& table,
       const std::vector<std::pair<std::string, Value>>& row_values) const;
+  // Hash of the leading primary-key column's value — the partition the
+  // planner names for tables whose primary key has two or more columns.
+  // nullopt when the table has no partition level (no index, single-column
+  // key) or the value is missing or does not coerce.
+  std::optional<uint64_t> PartitionHashForValues(
+      const std::string& table,
+      const std::vector<std::pair<std::string, Value>>& row_values) const;
   // Primary-key values of the live rows whose row address (hidden rowid,
   // or the `address_column` identity value when the flavor has no rowid)
   // is in `addresses`. Takes the catalog and table latches shared — safe
@@ -170,6 +190,24 @@ class Database {
     std::string after;   // encoded row (insert/update)
   };
 
+  // One entry of a statement's pre-declared lock plan.
+  struct LockPlanEntry {
+    concurrency::ResourceId res;
+    concurrency::LockMode mode;
+  };
+
+  // Join-probe locking for one statement (concurrent mode): the FROM
+  // positions whose rows the index nested-loop join locks as it probes
+  // them (the plan declares only IS on those tables), and the lock a probe
+  // could not take without waiting — the SELECT stops, lets go of its
+  // latches, and StatementOnSession blocks for that lock and re-runs it.
+  struct ProbeLocks {
+    int64_t txn_id = 0;
+    bool quarantine_exempt = false;
+    std::vector<size_t> depths;
+    std::optional<LockPlanEntry> blocked;
+  };
+
   struct Session {
     bool in_txn = false;
     int64_t txn_id = 0;
@@ -186,15 +224,10 @@ class Database {
     // Repair-engine connections bypass the quarantine gate (they heal the
     // slices everyone else is fenced away from).
     bool quarantine_exempt = false;
+    ProbeLocks probe;  // reset per statement
     // Serializes statements of one session (the wire layer already does;
     // this keeps direct multi-threaded use of a session id safe too).
     std::mutex mu;
-  };
-
-  // One entry of a statement's pre-declared lock plan.
-  struct LockPlanEntry {
-    concurrency::ResourceId res;
-    concurrency::LockMode mode;
   };
 
   // Atomic mirrors of DbStats (sessions update them concurrently).
@@ -244,24 +277,39 @@ class Database {
   // --- lock planning (concurrent mode) ---
   // Derives the statement's lock plan from its AST. Called under the shared
   // catalog latch; conservative — anything not provably key-local coarsens
-  // to a table lock. Never fails: unresolvable names produce an empty or
+  // to a partition lock when the leading key column is pinned, to a table
+  // lock otherwise. FROM positions locked per join probe go to
+  // `probe_depths`. Never fails: unresolvable names produce an empty or
   // partial plan and the executor reports the real error.
   void PlanStatementLocks(const sql::Statement& stmt,
-                          std::vector<LockPlanEntry>* plan);
+                          std::vector<LockPlanEntry>* plan,
+                          std::vector<size_t>* probe_depths);
   // SELECT leg, defined in select_exec.cc next to the access-path planner
   // it mirrors.
   void PlanSelectLocks(const sql::Statement& stmt,
-                       std::vector<LockPlanEntry>* plan);
-  // Acquires the plan in deterministic order (tables before keys, ids
-  // ascending). On deadlock the transaction keeps already-held locks; the
-  // caller rolls back.
+                       std::vector<LockPlanEntry>* plan,
+                       std::vector<size_t>* probe_depths);
+  // Puts a plan in lock order (table, level, hash — top-down) and merges
+  // duplicate resources to the supremum of their modes.
+  static void SortLockPlan(std::vector<LockPlanEntry>* plan);
+  // Acquires a sorted plan in order. On deadlock the transaction keeps
+  // already-held locks; the caller rolls back.
   Status AcquirePlanLocks(int64_t txn_id,
                           const std::vector<LockPlanEntry>& plan);
-  // FNV hash of a full literal primary key; nullopt when `exprs` are not
+  // FNV hash of literal values for `key_columns` (the full primary key, or
+  // just its leading column for a partition); nullopt when `exprs` are not
   // all literal-evaluable/coercible. `exprs` are in key-column order.
+  // `leading` (optional) receives the hash of the first value alone — the
+  // partition — whenever that value is literal, even if a later one is not.
   std::optional<uint64_t> HashKeyLiterals(
       const Schema& schema, const std::vector<int>& key_columns,
-      const std::vector<const sql::Expr*>& exprs);
+      const std::vector<const sql::Expr*>& exprs,
+      std::optional<uint64_t>* leading = nullptr);
+  // Statement-ending paths of the concurrent engine. Both roll back what
+  // the open transaction did; an explicit transaction's session is then
+  // poisoned until the client acknowledges with ROLLBACK.
+  Status RejectQuarantined(Session& s, bool autocommit);
+  Status AbortDeadlockVictim(Session& s, bool autocommit, Status locked);
 
   // Appends a row-op WAL record in the flavor's style and tracks undo info.
   void LogRowOp(Session& s, LogOp op, int32_t table_id, const HeapTable& table,
@@ -272,16 +320,20 @@ class Database {
   // Aggregate-path SELECT executor (GROUP BY / aggregate functions).
   Result<ResultSet> ExecAggregateSelect(
       const sql::Statement& stmt,
-      const std::vector<std::pair<HeapTable*, std::string>>& tables);
+      const std::vector<std::pair<HeapTable*, std::string>>& tables,
+      ProbeLocks* probe);
 
   // Recursively enumerates the (filtered) cross product of `tables`,
   // invoking `fn` with a complete RowBinding for each surviving tuple.
   // Uses primary-key index prefixes (index nested-loop join) where the WHERE
-  // clause provides equality bindings; falls back to page scans.
+  // clause provides equality bindings; falls back to page scans. With
+  // `probe`, the listed depths lock each probed key (IS on its partition,
+  // S on the key; S on the table for a heap scan) without waiting; a lock
+  // that would wait stops the scan with `probe->blocked` set.
   Status JoinScan(
       const sql::Statement& stmt,
       const std::vector<std::pair<HeapTable*, std::string>>& tables,
-      const std::function<Status(const RowBinding&)>& fn);
+      ProbeLocks* probe, const std::function<Status(const RowBinding&)>& fn);
 
   // Single-table row collection for UPDATE/DELETE: locations plus a copy of
   // the row bytes for every row satisfying `where` (index-accelerated).

@@ -222,10 +222,12 @@ struct AccessPath {
   const Expr* hi = nullptr;
 };
 
+// `eq_out` (optional) receives the equality bindings found per depth.
 std::vector<AccessPath> PlanAccessPaths(
     const std::vector<const Expr*>& conjuncts,
     const std::vector<std::pair<HeapTable*, std::string>>& tables,
-    const FlavorTraits& traits) {
+    const FlavorTraits& traits,
+    std::vector<std::vector<EqBinding>>* eq_out = nullptr) {
   const size_t n = tables.size();
 
   // Resolves a (column expr, value expr) pair to (depth, column index) when
@@ -337,6 +339,7 @@ std::vector<AccessPath> PlanAccessPaths(
     }
     paths[d] = std::move(best);
   }
+  if (eq_out != nullptr) *eq_out = std::move(eq);
   return paths;
 }
 
@@ -348,11 +351,15 @@ enum class IndexProbe {
               // order would disagree with SQL comparison; scan the heap
 };
 
+// `prefix_out` receives the coerced equality-prefix values — the probed
+// key itself when the prefix covers the whole index.
 Result<IndexProbe> ProbeIndex(const AccessPath& path, const Schema& schema,
                               const RowBinding& binding,
-                              std::vector<RowLoc>* locs) {
+                              std::vector<RowLoc>* locs,
+                              std::vector<Value>* prefix_out) {
   const std::vector<int>& key_cols = path.index->key_columns();
-  std::vector<Value> prefix;
+  std::vector<Value>& prefix = *prefix_out;
+  prefix.clear();
   prefix.reserve(path.prefix_exprs.size());
   for (size_t i = 0; i < path.prefix_exprs.size(); ++i) {
     IRDB_ASSIGN_OR_RETURN(Value v, Eval(*path.prefix_exprs[i], binding));
@@ -394,7 +401,7 @@ Result<IndexProbe> ProbeIndex(const AccessPath& path, const Schema& schema,
 Status Database::JoinScan(
     const sql::Statement& stmt,
     const std::vector<std::pair<HeapTable*, std::string>>& tables,
-    const std::function<Status(const RowBinding&)>& fn) {
+    ProbeLocks* probe, const std::function<Status(const RowBinding&)>& fn) {
   IRDB_CHECK_MSG(tables.size() <= 64, "too many FROM tables");
   // Classify WHERE conjuncts: per-table filters run during that table's scan.
   std::vector<const Expr*> conjuncts;
@@ -428,6 +435,79 @@ Status Database::JoinScan(
     IRDB_ASSIGN_OR_RETURN(table_ids[i], catalog_.TableId(tables[i].first->name()));
   }
 
+  // Join-probe locks (DESIGN.md §5f): depths the planner declared IS only
+  // lock what each probe reads, without waiting.
+  std::vector<bool> probed(n, false);
+  if (probe != nullptr) {
+    for (size_t d : probe->depths) {
+      if (d < n) probed[d] = true;
+    }
+  }
+  // Per probed depth: the partition its latest probes fell in, how many
+  // keys the statement locked there, and whether it escalated to S on it.
+  struct ProbePartition {
+    uint64_t name = 0;
+    int keys = 0;
+    bool escalated = false;
+  };
+  std::vector<ProbePartition> probe_partition(n);
+  auto fenced = [&](concurrency::ResourceId res, concurrency::LockMode mode) {
+    return quarantine_.active() && !probe->quarantine_exempt &&
+           quarantine_.Blocks(res, mode);
+  };
+  auto probe_lock = [&](concurrency::ResourceId res,
+                        concurrency::LockMode mode) -> Status {
+    if (fenced(res, mode) ||
+        !txn_mgr_.locks().TryAcquire(probe->txn_id, res, mode)) {
+      probe->blocked = LockPlanEntry{res, mode};
+      return Status::Aborted("join probe lock busy: statement re-runs after "
+                             "the wait");
+    }
+    return Status::Ok();
+  };
+  // Locks the rows one probe of `depth` reads: its key (IS on the
+  // partition, S on the key) when the probe binds the whole primary key,
+  // the whole table otherwise. Past kProbeKeysPerPartition keys in one
+  // partition the statement tries S on the partition instead — one lock
+  // covering the rest of its probes there — and keeps locking keys if that
+  // would wait (escalation never blocks).
+  constexpr int kProbeKeysPerPartition = 16;
+  auto lock_probe = [&](size_t depth, const std::vector<Value>& prefix,
+                        bool indexed) -> Status {
+    using concurrency::LockMode;
+    using concurrency::ResourceId;
+    const int32_t id = table_ids[depth];
+    const TableIndex* pk = tables[depth].first->index();
+    if (!indexed || paths[depth].index != pk ||
+        prefix.size() != pk->key_columns().size()) {
+      return probe_lock(ResourceId::Table(id), LockMode::kShared);
+    }
+    std::string repr;
+    prefix[0].AppendTo(&repr);
+    const uint64_t leading = Fnv1a(repr);
+    if (prefix.size() >= 2) {
+      const ResourceId part = ResourceId::Partition(id, leading);
+      ProbePartition& pp = probe_partition[depth];
+      if (pp.name != part.key_hash) {
+        IRDB_RETURN_IF_ERROR(probe_lock(part, LockMode::kIntentionShared));
+        pp = ProbePartition{part.key_hash, 0, false};
+      }
+      if (pp.escalated) return Status::Ok();
+      if (++pp.keys > kProbeKeysPerPartition &&
+          !fenced(part, LockMode::kShared) &&
+          txn_mgr_.locks().TryAcquire(probe->txn_id, part, LockMode::kShared)) {
+        pp.escalated = true;
+        return Status::Ok();
+      }
+    }
+    repr.clear();
+    for (size_t i = 1; i < prefix.size(); ++i) prefix[i].AppendTo(&repr);
+    // FNV is sequential: hashing the rest from the leading value's state is
+    // the hash of the whole key.
+    return probe_lock(ResourceId::Key(id, Fnv1a(repr, leading)),
+                      LockMode::kShared);
+  };
+
   std::function<Status(size_t)> recurse = [&](size_t depth) -> Status {
     if (depth == n) {
       for (const Expr* c : join_filters) {
@@ -457,14 +537,18 @@ Status Database::JoinScan(
       return recurse(depth + 1);
     };
 
+    std::vector<Value> prefix;
     if (paths[depth].index != nullptr) {
       // Index nested-loop: bind the key prefix/bounds from the outer tuple.
       std::vector<RowLoc> locs;
       IRDB_ASSIGN_OR_RETURN(
-          IndexProbe probe,
-          ProbeIndex(paths[depth], table->schema(), full, &locs));
-      if (probe == IndexProbe::kNoRows) return Status::Ok();
-      if (probe == IndexProbe::kScan) {
+          IndexProbe access,
+          ProbeIndex(paths[depth], table->schema(), full, &locs, &prefix));
+      if (access == IndexProbe::kNoRows) return Status::Ok();
+      if (access == IndexProbe::kScan) {
+        if (probed[depth]) {
+          IRDB_RETURN_IF_ERROR(lock_probe(depth, prefix, /*indexed=*/true));
+        }
         obs::Count(obs::Metrics::Get().index_scans);
         for (RowLoc loc : locs) {
           io_model_.TouchPage(table_ids[depth], loc.page);
@@ -473,6 +557,9 @@ Status Database::JoinScan(
         return Status::Ok();
       }
       // kFallback: heap scan below.
+    }
+    if (probed[depth]) {
+      IRDB_RETURN_IF_ERROR(lock_probe(depth, prefix, /*indexed=*/false));
     }
 
     obs::Count(obs::Metrics::Get().heap_scans);
@@ -520,8 +607,10 @@ Result<std::vector<std::pair<RowLoc, std::string>>> Database::CollectMatching(
 
   if (paths[0].index != nullptr) {
     std::vector<RowLoc> locs;
-    IRDB_ASSIGN_OR_RETURN(IndexProbe probe,
-                          ProbeIndex(paths[0], table->schema(), binding, &locs));
+    std::vector<Value> prefix;
+    IRDB_ASSIGN_OR_RETURN(
+        IndexProbe probe,
+        ProbeIndex(paths[0], table->schema(), binding, &locs, &prefix));
     if (probe == IndexProbe::kNoRows) return matches;
     if (probe == IndexProbe::kScan) {
       obs::Count(obs::Metrics::Get().index_scans);
@@ -546,7 +635,8 @@ Result<std::vector<std::pair<RowLoc, std::string>>> Database::CollectMatching(
 }
 
 void Database::PlanSelectLocks(const sql::Statement& stmt,
-                               std::vector<LockPlanEntry>* plan) {
+                               std::vector<LockPlanEntry>* plan,
+                               std::vector<size_t>* probe_depths) {
   using concurrency::LockMode;
   using concurrency::ResourceId;
   // Resolve FROM tables; unresolvable names are the executor's problem.
@@ -561,35 +651,70 @@ void Database::PlanSelectLocks(const sql::Statement& stmt,
   }
   if (tables.empty()) return;
 
-  if (tables.size() == 1 && tables[0].first->index() != nullptr) {
-    // Mirror the access-path planner: a WHERE that pins the full primary
-    // key with literal equality reads exactly one key, so an intention
-    // lock plus a shared key lock suffices (equality predicates cannot see
-    // phantoms — any INSERT of that key takes the same key X).
-    std::vector<const Expr*> conjuncts;
-    SplitConjuncts(stmt.where.get(), &conjuncts);
-    std::vector<AccessPath> paths = PlanAccessPaths(conjuncts, tables, traits_);
-    const TableIndex* index = tables[0].first->index();
-    if (paths[0].index == index &&
-        paths[0].prefix_exprs.size() == index->key_columns().size()) {
-      auto h = HashKeyLiterals(tables[0].first->schema(), index->key_columns(),
-                               paths[0].prefix_exprs);
+  // Mirror the access-path planner, one FROM position at a time.
+  std::vector<const Expr*> conjuncts;
+  SplitConjuncts(stmt.where.get(), &conjuncts);
+  std::vector<std::vector<EqBinding>> eq;
+  std::vector<AccessPath> paths =
+      PlanAccessPaths(conjuncts, tables, traits_, &eq);
+  for (size_t d = 0; d < tables.size(); ++d) {
+    const int32_t id = ids[d];
+    const TableIndex* index = tables[d].first->index();
+    if (index == nullptr) {
+      plan->push_back({ResourceId::Table(id), LockMode::kShared});
+      continue;
+    }
+    const Schema& schema = tables[d].first->schema();
+    const std::vector<int>& key_cols = index->key_columns();
+    const bool partitioned = key_cols.size() >= 2;
+    const bool full_key = paths[d].index == index &&
+                          paths[d].prefix_exprs.size() == key_cols.size();
+    // Literal equality on the whole primary key reads exactly one key, so
+    // intention locks plus a shared key lock suffice (equality predicates
+    // cannot see phantoms — any INSERT of that key takes the same key X).
+    if (full_key) {
+      std::optional<uint64_t> p;
+      auto h = HashKeyLiterals(schema, key_cols, paths[d].prefix_exprs,
+                               partitioned ? &p : nullptr);
       if (h.has_value()) {
-        plan->push_back(
-            {ResourceId::Table(ids[0]), LockMode::kIntentionShared});
-        plan->push_back({ResourceId::Key(ids[0], *h), LockMode::kShared});
-        return;
+        plan->push_back({ResourceId::Table(id), LockMode::kIntentionShared});
+        if (p.has_value()) {
+          plan->push_back(
+              {ResourceId::Partition(id, *p), LockMode::kIntentionShared});
+        }
+        plan->push_back({ResourceId::Key(id, *h), LockMode::kShared});
+        continue;
+      }
+      // The key is bound from outer columns: an index nested-loop probe.
+      // JoinScan locks each probed key itself.
+      if (probe_depths != nullptr) {
+        plan->push_back({ResourceId::Table(id), LockMode::kIntentionShared});
+        probe_depths->push_back(d);
+        continue;
       }
     }
-  }
-  // Scans and joins read arbitrary rows: table S on every source.
-  for (int32_t id : ids) {
+    // Literal equality on the leading key column confines every row the
+    // statement can return to one partition: S on it covers phantoms too
+    // (an INSERT into the partition takes IX on it).
+    std::optional<uint64_t> p;
+    if (partitioned) {
+      for (const EqBinding& b : eq[d]) {
+        if (b.column != key_cols[0]) continue;
+        p = HashKeyLiterals(schema, {key_cols[0]}, {b.value});
+        if (p.has_value()) break;
+      }
+    }
+    if (p.has_value()) {
+      plan->push_back({ResourceId::Table(id), LockMode::kIntentionShared});
+      plan->push_back({ResourceId::Partition(id, *p), LockMode::kShared});
+      continue;
+    }
+    // Unpinned scans read arbitrary rows: table S.
     plan->push_back({ResourceId::Table(id), LockMode::kShared});
   }
 }
 
 Result<ResultSet> Database::ExecSelect(Session& s, const sql::Statement& stmt) {
-  (void)s;
   std::vector<std::pair<HeapTable*, std::string>> tables;
   for (const sql::TableRef& ref : stmt.from) {
     IRDB_ASSIGN_OR_RETURN(HeapTable* t, RequireTable(ref.name));
@@ -627,7 +752,8 @@ Result<ResultSet> Database::ExecSelect(Session& s, const sql::Statement& stmt) {
   for (const sql::SelectItem& item : stmt.select_items) {
     if (!item.star && item.expr->ContainsAggregate()) aggregate = true;
   }
-  if (aggregate) return ExecAggregateSelect(stmt, tables);
+  ProbeLocks* probe = s.probe.depths.empty() ? nullptr : &s.probe;
+  if (aggregate) return ExecAggregateSelect(stmt, tables, probe);
 
   // Expand the projection list.
   struct OutCol {
@@ -665,7 +791,7 @@ Result<ResultSet> Database::ExecSelect(Session& s, const sql::Statement& stmt) {
   }
 
   std::vector<SortableRow> rows;
-  IRDB_RETURN_IF_ERROR(JoinScan(stmt, tables, [&](const RowBinding& binding) -> Status {
+  IRDB_RETURN_IF_ERROR(JoinScan(stmt, tables, probe, [&](const RowBinding& binding) -> Status {
     SortableRow row;
     row.out.reserve(out_cols.size());
     for (const OutCol& oc : out_cols) {
@@ -696,7 +822,8 @@ Result<ResultSet> Database::ExecSelect(Session& s, const sql::Statement& stmt) {
 
 Result<ResultSet> Database::ExecAggregateSelect(
     const sql::Statement& stmt,
-    const std::vector<std::pair<HeapTable*, std::string>>& tables) {
+    const std::vector<std::pair<HeapTable*, std::string>>& tables,
+    ProbeLocks* probe) {
   // Gather the aggregate call sites.
   std::vector<const Expr*> agg_nodes;
   for (const sql::SelectItem& item : stmt.select_items) {
@@ -722,7 +849,7 @@ Result<ResultSet> Database::ExecAggregateSelect(
   };
   std::map<std::string, Group> groups;
 
-  IRDB_RETURN_IF_ERROR(JoinScan(stmt, tables, [&](const RowBinding& binding) -> Status {
+  IRDB_RETURN_IF_ERROR(JoinScan(stmt, tables, probe, [&](const RowBinding& binding) -> Status {
     std::vector<Value> keys;
     keys.reserve(stmt.group_by.size());
     std::string key_repr;

@@ -93,6 +93,11 @@ const Metrics& Metrics::Get() {
         "irdb_engine_deadlock_aborts_total",
         "Lock requests aborted by waits-for cycle detection; the victim "
         "transaction is rolled back (engine.deadlocks.aborted)");
+    m->engine_lock_wait_latency = r.RegisterHistogram(
+        "irdb_engine_lock_wait_ms",
+        "Wall time a blocked lock request waited, until granted or aborted "
+        "(deadlock or timeout); requests granted without waiting are not "
+        "observed");
 
     m->index_scans = r.RegisterCounter(
         "irdb_index_scans_total",

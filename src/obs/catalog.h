@@ -53,6 +53,7 @@ struct Metrics {
   // --- lock manager (src/concurrency) ---
   MetricId engine_lock_waits;
   MetricId engine_deadlock_aborts;
+  MetricId engine_lock_wait_latency;  // histogram, ms (blocked requests)
 
   // --- storage: access paths + buffer pool (src/storage, src/engine) ---
   MetricId index_scans;

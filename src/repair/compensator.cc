@@ -12,6 +12,7 @@
 #include "storage/bptree.h"
 #include "obs/trace.h"
 #include "proxy/rewriter.h"
+#include "repair/quarantine.h"
 #include "sql/ast.h"
 #include "sql/printer.h"
 #include "util/string_utils.h"
@@ -102,10 +103,18 @@ Status CompensateOp(const RepairOp& op, DbConnection* admin,
                     const std::vector<std::pair<std::string, Value>>*
                         key_literals = nullptr) {
   const std::string table_key = ToLowerAscii(op.table);
-  auto run = [&](const sql::Statement& stmt,
-                 int64_t expect_affected) -> Status {
+  auto run = [&](sql::Statement& stmt, int64_t expect_affected) -> Status {
     auto r = admin->Execute(sql::PrintStatement(stmt));
     if (!r.ok()) return r.status();
+    if (key_literals != nullptr && r->affected == 0) {
+      // The key conjuncts only steer the access path; the row address is
+      // authoritative. A row whose key moved since the annotation was
+      // derived (a kept transaction rewrote it) is found by address alone.
+      stmt.where = AddressPredicate(address_column,
+                                    remap->Resolve(table_key, op.row_address));
+      r = admin->Execute(sql::PrintStatement(stmt));
+      if (!r.ok()) return r.status();
+    }
     if (expect_affected >= 0 && r->affected != expect_affected) {
       return Status::Internal("compensating statement touched " +
                               std::to_string(r->affected) + " rows, expected " +
@@ -191,8 +200,11 @@ Status CompensateLanes(const DependencyAnalysis& analysis,
                        const std::set<int64_t>& undo_proxy_ids, Database* db,
                        const FlavorTraits& traits, RepairReport* report,
                        util::ThreadPool* pool) {
-  IRDB_ASSIGN_OR_RETURN(std::vector<CompensationBatch> batches,
-                        BuildCompensationBatches(analysis, undo_proxy_ids));
+  const OpKeyMap op_keys =
+      ComputeContaminatedPartition(db, analysis, undo_proxy_ids).op_keys;
+  IRDB_ASSIGN_OR_RETURN(
+      std::vector<CompensationBatch> batches,
+      BuildCompensationBatches(analysis, undo_proxy_ids, &op_keys));
   report->compensate_lanes = std::max<int>(1, static_cast<int>(batches.size()));
   std::vector<Status> lane_status(batches.size(), Status::Ok());
   std::vector<RepairReport> lane_report(batches.size());
@@ -284,10 +296,20 @@ Status Compensate(const DependencyAnalysis& analysis,
   }
 
   if (pool == nullptr || pool->lanes() <= 1) {
+    // Primary-key literals per op (the ones online repair derives for its
+    // lanes) let each compensating statement take the index path instead
+    // of scanning the heap for the row address.
+    OpKeyMap op_keys;
+    if (db != nullptr) {
+      op_keys = ComputeContaminatedPartition(db, analysis, undo_proxy_ids)
+                    .op_keys;
+    }
     RowIdRemap remap;
     for (const RepairOp* op : plan) {
-      IRDB_RETURN_IF_ERROR(
-          CompensateOp(*op, admin, traits, address_column, &remap, report));
+      auto key = op_keys.find(op);
+      IRDB_RETURN_IF_ERROR(CompensateOp(
+          *op, admin, traits, address_column, &remap, report,
+          key == op_keys.end() ? nullptr : &key->second));
     }
   } else {
     // Batched compensation: every compensating statement addresses rows by

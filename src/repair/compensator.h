@@ -36,6 +36,12 @@ struct RepairReport {
 // wrapped in a single repair transaction. `undo_proxy_ids` must be closed
 // under the chosen dependency semantics — Compensate does not re-derive it.
 //
+// With `db`, compensating statements also carry each row's primary-key
+// literals (the ComputeContaminatedPartition annotations online repair
+// uses), so they find the row through the primary index instead of a heap
+// scan for its address; the address stays in the WHERE as the deciding
+// filter, and a row whose key moved since is found by address alone.
+//
 // A multi-lane `pool` batches the plan per table and applies the batches
 // concurrently: compensating statements address rows by row ID within one
 // table (and the old→new remap is per table), so batches of distinct tables

@@ -183,7 +183,7 @@ ContaminatedPartition ComputeContaminatedPartition(
       }
       continue;  // annotations dropped: lanes take coarse locks anyway
     }
-    std::set<uint64_t> buckets;
+    std::map<uint64_t, uint64_t> buckets;  // bucket → partition (0: none)
     for (auto& [op, key] : t.keyed_ops) {
       auto h = db->KeyHashForValues(table_key, key);
       if (!h.has_value()) {
@@ -196,12 +196,18 @@ ContaminatedPartition ComputeContaminatedPartition(
         }
         break;
       }
-      buckets.insert(
-          concurrency::ResourceId::Key(t.table_id, *h).key_hash);
+      const auto p = db->PartitionHashForValues(table_key, key);
+      buckets.emplace(
+          concurrency::ResourceId::Key(t.table_id, *h).key_hash,
+          p.has_value()
+              ? concurrency::ResourceId::Partition(t.table_id, *p).key_hash
+              : 0);
       part.op_keys[op] = std::move(key);
     }
     if (!metadata) {
-      for (uint64_t b : buckets) part.slices.push_back({t.table_id, b});
+      for (const auto& [b, p] : buckets) {
+        part.slices.push_back({t.table_id, b, p});
+      }
     }
     part.key_buckets += static_cast<int>(buckets.size());
   }

@@ -38,13 +38,7 @@ int64_t ImageBytes(const LogRecord& rec) {
 // prove the slices are quiet, not keep them so. Bounded deadlock retries:
 // the drain can lose a waits-for cycle against a multi-statement client.
 Status DrainQuarantinedSlices(Database* db) {
-  auto plan = db->quarantine().DrainPlan();
-  std::sort(plan.begin(), plan.end(), [](const auto& a, const auto& b) {
-    if (a.first.table_id != b.first.table_id) {
-      return a.first.table_id < b.first.table_id;
-    }
-    return a.first.key_hash < b.first.key_hash;  // table (0) before keys
-  });
+  const auto plan = db->quarantine().DrainPlan();  // in lock order
   Status last = Status::Ok();
   for (int attempt = 0; attempt < 16; ++attempt) {
     // Transactions already pinning a fenced slice would never release it

@@ -5,12 +5,15 @@
 // paired counters.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "concurrency/lock_manager.h"
 #include "core/resilient_db.h"
 #include "obs/catalog.h"
 #include "obs/journal.h"
@@ -309,6 +312,44 @@ TEST(PipelineObsTest, RegistryMirrorsProxyStats) {
                     .count -
                 lat0,
             st.client_statements - base.client_statements);
+}
+
+// Every lock request that blocks lands its wall wait in
+// irdb_engine_lock_wait_ms once — granted or aborted — and requests granted
+// without waiting are not observed.
+TEST(PipelineObsTest, LockWaitsLandInHistogram) {
+  using concurrency::LockMode;
+  using concurrency::ResourceId;
+  const obs::Metrics& m = obs::Metrics::Get();
+  auto waits = [&] {
+    return MetricsRegistry::Default().HistogramValue(
+        m.engine_lock_wait_latency);
+  };
+  const obs::HistogramSnapshot before = waits();
+
+  concurrency::LockManager lm;
+  const ResourceId r = ResourceId::Key(1, 7);
+  ASSERT_TRUE(lm.Acquire(1, r, LockMode::kExclusive).ok());  // no wait
+  std::thread granted([&] {
+    EXPECT_TRUE(lm.Acquire(2, r, LockMode::kShared).ok());
+    lm.ReleaseAll(2);
+  });
+  while (lm.stats().waits < 1) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  lm.ReleaseAll(1);
+  granted.join();
+  const obs::HistogramSnapshot mid = waits();
+  EXPECT_EQ(mid.count - before.count, 1);
+  EXPECT_GE(mid.sum_us - before.sum_us, 5000);
+
+  // An aborted wait (here: the timeout failsafe) is observed too.
+  concurrency::LockManager::Options quick;
+  quick.wait_timeout_seconds = 0.01;
+  concurrency::LockManager lm2(quick);
+  ASSERT_TRUE(lm2.Acquire(1, r, LockMode::kExclusive).ok());
+  EXPECT_FALSE(lm2.Acquire(2, r, LockMode::kShared).ok());
+  EXPECT_EQ(waits().count - mid.count, 1);
+  lm2.ReleaseAll(1);
 }
 
 // The span-tree/phase-stats contract: each repair phase's wall time in

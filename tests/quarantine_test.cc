@@ -32,6 +32,7 @@ using concurrency::ResourceId;
 constexpr LockMode kIS = LockMode::kIntentionShared;
 constexpr LockMode kIX = LockMode::kIntentionExclusive;
 constexpr LockMode kS = LockMode::kShared;
+constexpr LockMode kSIX = LockMode::kSharedIntentionExclusive;
 constexpr LockMode kX = LockMode::kExclusive;
 
 ResultSet Must(DbConnection* conn, const std::string& sql) {
@@ -73,6 +74,7 @@ TEST(QuarantineManagerTest, BlocksFollowsSliceGranularity) {
   EXPECT_TRUE(qm.Blocks(ResourceId::Key(1, 10), kS));
   EXPECT_FALSE(qm.Blocks(ResourceId::Key(1, 12), kX));
   EXPECT_TRUE(qm.Blocks(ResourceId::Table(1), kS));
+  EXPECT_TRUE(qm.Blocks(ResourceId::Table(1), kSIX));
   EXPECT_TRUE(qm.Blocks(ResourceId::Table(1), kX));
   EXPECT_FALSE(qm.Blocks(ResourceId::Table(1), kIS));
   EXPECT_FALSE(qm.Blocks(ResourceId::Table(1), kIX));
@@ -115,6 +117,39 @@ TEST(QuarantineManagerTest, WholeTableSubsumesBucketsAndDrainPlan) {
   EXPECT_EQ(plan[0].second, kX);  // whole table → table X
   qm.End();
   EXPECT_EQ(qm.stats().slices, 0);
+}
+
+TEST(QuarantineManagerTest, PartitionGateAndDrainFollowFencedPartitions) {
+  QuarantineManager qm;
+  ASSERT_TRUE(qm.Begin().ok());
+  const uint64_t b = ResourceId::Key(5, 11).key_hash;
+  const uint64_t p1 = ResourceId::Partition(5, 100).key_hash;
+  const uint64_t p2 = ResourceId::Partition(5, 200).key_hash;
+  EXPECT_EQ(qm.Add({{5, b, p1}}), 1);
+
+  // Partition scans and partition-wide writes over the fenced bucket are
+  // refused; intention modes (judged per key) and other partitions pass.
+  EXPECT_TRUE(qm.Blocks(ResourceId{5, p1}, kS));
+  EXPECT_TRUE(qm.Blocks(ResourceId{5, p1}, kSIX));
+  EXPECT_TRUE(qm.Blocks(ResourceId{5, p1}, kX));
+  EXPECT_FALSE(qm.Blocks(ResourceId{5, p1}, kIS));
+  EXPECT_FALSE(qm.Blocks(ResourceId{5, p1}, kIX));
+  EXPECT_FALSE(qm.Blocks(ResourceId{5, p2}, kS));
+  EXPECT_FALSE(qm.Blocks(ResourceId{5, p2}, kX));
+
+  // The drain goes top-down and waits out partition scanners with IX.
+  const auto plan = qm.DrainPlan();
+  ASSERT_EQ(plan.size(), 3u);
+  EXPECT_TRUE(plan[0].first == ResourceId::Table(5));
+  EXPECT_EQ(plan[0].second, kIX);
+  EXPECT_TRUE(plan[1].first == (ResourceId{5, p1}));
+  EXPECT_EQ(plan[1].second, kIX);
+  EXPECT_TRUE(plan[2].first == (ResourceId{5, b}));
+  EXPECT_EQ(plan[2].second, kX);
+
+  EXPECT_EQ(qm.ReleaseKey(5, b), 1);
+  EXPECT_FALSE(qm.Blocks(ResourceId{5, p1}, kS));
+  qm.End();
 }
 
 // ----------------------------------------------------------- engine gate
@@ -220,6 +255,68 @@ TEST_F(QuarantineGateTest, OpenTxnPinningSliceAbortsRetryablyNotDeadlock) {
   ResultSet rs = Must(&pinner, "SELECT balance FROM account WHERE id = 1");
   ASSERT_EQ(rs.rows.size(), 1u);
   EXPECT_DOUBLE_EQ(rs.rows[0][0].as_double(), 100.0);  // rollback held
+}
+
+TEST_F(QuarantineGateTest, PartitionScannerIsDrainedAndNewScansRejected) {
+  DirectConnection setup(&db_);
+  Must(&setup, "CREATE TABLE ledger (w INTEGER, id INTEGER, v INTEGER,"
+               " PRIMARY KEY (w, id))");
+  Must(&setup, "INSERT INTO ledger(w, id, v) VALUES (1, 1, 10), (1, 2, 20),"
+               " (2, 1, 30)");
+  auto tid = db_.catalog().TableId("ledger");
+  ASSERT_TRUE(tid.ok());
+  const std::vector<std::pair<std::string, Value>> fenced = {
+      {"w", Value::Int(1)}, {"id", Value::Int(1)}};
+  auto key = db_.KeyHashForValues("ledger", fenced);
+  auto part = db_.PartitionHashForValues("ledger", fenced);
+  ASSERT_TRUE(key.has_value() && part.has_value());
+  const ResourceId partition = ResourceId::Partition(*tid, *part);
+
+  // In flight when the quarantine arrives: a partition-S scan of w = 1.
+  DirectConnection scanner(&db_);
+  Must(&scanner, "BEGIN");
+  Must(&scanner, "SELECT SUM(v) FROM ledger WHERE w = 1");
+
+  auto& qm = db_.quarantine();
+  ASSERT_TRUE(qm.Begin().ok());
+  qm.Add({{*tid, ResourceId::Key(*tid, *key).key_hash, partition.key_hash}});
+
+  // The drain's partition IX cannot pass the scanner's S ...
+  auto& lm = db_.txn_manager().locks();
+  const int64_t drain = db_.AllocateTxnId();
+  db_.txn_manager().Begin(drain);
+  EXPECT_FALSE(lm.TryAcquire(drain, partition, kIX));
+  // ... and the scanner pins the fenced bucket through that S, so the
+  // drain evicts it; then every drain lock is free.
+  EXPECT_EQ(db_.EvictQuarantinePinnedTxns(), 1);
+  for (const auto& [res, mode] : qm.DrainPlan()) {
+    EXPECT_TRUE(lm.TryAcquire(drain, res, mode));
+  }
+  db_.txn_manager().Abort(drain);
+
+  // The evicted scanner hears about it, retryably, on its next statement.
+  auto next = scanner.Execute("SELECT v FROM ledger WHERE w = 2 AND id = 1");
+  ASSERT_FALSE(next.ok());
+  EXPECT_TRUE(IsQuarantineReject(next.status())) << next.status().ToString();
+  EXPECT_TRUE(scanner.Execute("ROLLBACK").ok());
+
+  // New scans of the fenced partition are rejected; the other partition
+  // and the partition's clean keys are served.
+  DirectConnection conn(&db_);
+  auto scan = conn.Execute("SELECT SUM(v) FROM ledger WHERE w = 1");
+  ASSERT_FALSE(scan.ok());
+  EXPECT_TRUE(IsQuarantineReject(scan.status())) << scan.status().ToString();
+  auto write = conn.Execute("UPDATE ledger SET v = 0 WHERE w = 1");
+  ASSERT_FALSE(write.ok());
+  EXPECT_TRUE(IsQuarantineReject(write.status()));
+  ResultSet other = Must(&conn, "SELECT SUM(v) FROM ledger WHERE w = 2");
+  ASSERT_EQ(other.rows.size(), 1u);
+  EXPECT_EQ(other.rows[0][0].as_int(), 30);
+  ResultSet clean = Must(&conn, "SELECT v FROM ledger WHERE w = 1 AND id = 2");
+  ASSERT_EQ(clean.rows.size(), 1u);
+  EXPECT_EQ(clean.rows[0][0].as_int(), 20);
+  qm.End();
+  Must(&conn, "SELECT SUM(v) FROM ledger WHERE w = 1");
 }
 
 TEST_F(QuarantineGateTest, DropTableOfQuarantinedSliceRejected) {

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "core/resilient_db.h"
+#include "obs/catalog.h"
 #include "proxy/rewriter.h"
+#include "repair/dba_policy.h"
 
 namespace irdb {
 namespace {
@@ -198,6 +200,103 @@ TEST_P(RepairE2ETest, DualProxyTracksLikeSingleProxy) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// Offline compensation addresses each row through its primary key (with
+// the row address kept as the deciding filter): undoing an attack that
+// rewrote many rows of one table costs index probes, not one heap scan per
+// compensating statement.
+TEST_P(RepairE2ETest, OfflineCompensationFindsRowsThroughPrimaryKey) {
+  DeploymentOptions opts;
+  opts.traits = TraitsFor(GetParam());
+  ResilientDb rdb(opts);
+  ASSERT_TRUE(rdb.Bootstrap().ok());
+  auto conn_or = rdb.Connect();
+  ASSERT_TRUE(conn_or.ok());
+  DbConnection* conn = conn_or->get();
+
+  constexpr int kRows = 20;
+  Must(conn, "CREATE TABLE ledger (w INTEGER NOT NULL, id INTEGER NOT NULL,"
+             " v INTEGER, PRIMARY KEY (w, id))");
+  Must(conn, "BEGIN");
+  conn->SetAnnotation("Setup");
+  for (int id = 1; id <= kRows; ++id) {
+    Must(conn, "INSERT INTO ledger(w, id, v) VALUES (1, " +
+                   std::to_string(id) + ", " + std::to_string(id) + ")");
+  }
+  Must(conn, "COMMIT");
+  const uint64_t clean = rdb.db().StateHash({"ledger"}, {"trid", "rid"});
+
+  Must(conn, "BEGIN");
+  conn->SetAnnotation("Attack");
+  for (int id = 1; id <= kRows; ++id) {
+    Must(conn, "UPDATE ledger SET v = v + 1000 WHERE w = 1 AND id = " +
+                   std::to_string(id));
+  }
+  Must(conn, "COMMIT");
+
+  auto analysis = rdb.repair().Analyze();
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  int64_t attack = -1;
+  for (int64_t node : analysis->graph.nodes()) {
+    if (analysis->graph.Label(node) == "Attack") attack = node;
+  }
+  ASSERT_GT(attack, 0);
+  const auto undo = rdb.repair().ComputeUndoSet(
+      *analysis, {attack}, repair::DbaPolicy::TrackEverything());
+
+  const obs::Metrics& m = obs::Metrics::Get();
+  const int64_t heap0 = obs::CounterValue(m.heap_scans);
+  const int64_t index0 = obs::CounterValue(m.index_scans);
+  auto report = rdb.repair().CompensateUndoSet(*analysis, undo);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GE(report->compensating_updates, kRows);
+  EXPECT_EQ(rdb.db().StateHash({"ledger"}, {"trid", "rid"}), clean);
+  // One scan resolves the ledger rows' keys by address, and the tracking
+  // metadata tables (no primary key) are scanned once per compensating
+  // delete; every ledger update goes through the index.
+  EXPECT_LE(obs::CounterValue(m.heap_scans) - heap0, 3);
+  EXPECT_GE(obs::CounterValue(m.index_scans) - index0, kRows);
+}
+
+// The key literals only steer the access path: when a kept transaction has
+// since moved the row to another key, the compensating statement still
+// finds the row by its address.
+TEST_P(RepairE2ETest, OfflineCompensationFollowsAddressWhenKeyMoved) {
+  DeploymentOptions opts;
+  opts.traits = TraitsFor(GetParam());
+  ResilientDb rdb(opts);
+  ASSERT_TRUE(rdb.Bootstrap().ok());
+  auto conn_or = rdb.Connect();
+  ASSERT_TRUE(conn_or.ok());
+  DbConnection* conn = conn_or->get();
+
+  Must(conn, "CREATE TABLE ledger (w INTEGER NOT NULL, id INTEGER NOT NULL,"
+             " v INTEGER, PRIMARY KEY (w, id))");
+  Must(conn, "BEGIN");
+  conn->SetAnnotation("Attack");
+  Must(conn, "INSERT INTO ledger(w, id, v) VALUES (1, 1, 666)");
+  Must(conn, "COMMIT");
+  Must(conn, "BEGIN");
+  conn->SetAnnotation("Rekey");
+  Must(conn, "UPDATE ledger SET id = 5 WHERE w = 1 AND id = 1");
+  Must(conn, "COMMIT");
+
+  auto analysis = rdb.repair().Analyze();
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  int64_t attack = -1;
+  for (int64_t node : analysis->graph.nodes()) {
+    if (analysis->graph.Label(node) == "Attack") attack = node;
+  }
+  ASSERT_GT(attack, 0);
+  // Undo the attack alone, as a DBA policy that keeps the re-keying
+  // transaction would: the insert's key literals (1, 1) are stale.
+  auto report = rdb.repair().CompensateUndoSet(*analysis, {attack});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GE(report->compensating_deletes, 1);
+  ResultSet left = Must(conn, "SELECT COUNT(*) FROM ledger");
+  ASSERT_EQ(left.rows.size(), 1u);
+  EXPECT_EQ(left.rows[0][0].as_int(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFlavors, RepairE2ETest,
