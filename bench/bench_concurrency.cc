@@ -1,25 +1,29 @@
 // Engine-side concurrency: serial-mode baseline vs the lock manager.
 //
-// The old engine serialized every statement behind one global mutex;
-// Database::set_serial_mode(true) preserves that behaviour as a baseline
-// leg. This bench sweeps connection counts {1, 2, 4, 8} over the full
-// tracked network stack (NetProxyServer with server-side tracking proxies,
-// TCP, rtt = 0 so the transport is never the bottleneck) and runs each
-// point twice: once serial, once under the lock manager.
+// Database::set_serial_mode(true) is the baseline leg: every statement
+// plans one X lock on the whole database, held to commit, so transactions
+// run one at a time. This bench sweeps connection counts {1, 2, 4, 8} over
+// the full tracked network stack (NetProxyServer with server-side tracking
+// proxies, TCP, rtt = 0 so the transport is never the bottleneck) and runs
+// each point twice: once serial, once under the lock manager.
 //
 // The engine is made disk-bound the same way the paper's testbed was:
 // IoCostParams with realtime_stall_scale > 0 turns charged I/O time
 // (commit-time log flushes, per-statement CPU) into real sleeps taken with
-// no lock held. A serialized engine can stall only one session at a time;
-// the lock manager overlaps stalls from independent sessions, so the
-// speedup at 8 connections approaches 8x even on a single-core host — and
-// the acceptance floor is 3x.
+// no lock held. The serial leg stalls one transaction at a time (only the
+// per-statement charges of BEGIN and of a transaction's first statement,
+// taken before its database lock is granted, overlap); the lock manager
+// overlaps stalls from independent sessions, so the speedup at 8
+// connections approaches 8x even on a single-core host — and the
+// acceptance floor is 3x.
 //
 // Each connection works a private table, so the sweep measures the engine's
 // concurrency ceiling, not lock conflicts (tests/concurrency_test.cc and
 // the lock-contention chaos profile cover conflicting workloads). After
 // every leg the tracking_gaps table must be empty: concurrency must not
-// cost tracking completeness.
+// cost tracking completeness. The serial leg's lock waits and deadlocks are
+// reported too, and any serial deadlock fails the run: a single lock
+// cannot form a cycle.
 //
 // Emits BENCH_concurrency.json. Flags: --rounds=N (transactions per
 // connection, default 40), --stall-scale=F (default 1.0), --out=PATH.
@@ -197,11 +201,14 @@ int Main(int argc, char** argv) {
     p.concurrent = *conc;
     std::printf(
         "concurrency: conns=%d serial=%.0f txn/s concurrent=%.0f txn/s "
-        "speedup=%.2fx gaps=%lld/%lld waits=%lld deadlocks=%lld%s\n",
+        "speedup=%.2fx gaps=%lld/%lld waits=%lld/%lld "
+        "deadlocks=%lld/%lld%s\n",
         c, p.serial.Throughput(), p.concurrent.Throughput(), p.Speedup(),
         static_cast<long long>(p.serial.tracking_gaps),
         static_cast<long long>(p.concurrent.tracking_gaps),
+        static_cast<long long>(p.serial.lock_waits),
         static_cast<long long>(p.concurrent.lock_waits),
+        static_cast<long long>(p.serial.deadlocks),
         static_cast<long long>(p.concurrent.deadlocks),
         p.serial.accounting_ok && p.concurrent.accounting_ok
             ? ""
@@ -210,6 +217,11 @@ int Main(int argc, char** argv) {
     if (p.serial.tracking_gaps != 0 || p.concurrent.tracking_gaps != 0) {
       std::fprintf(stderr, "bench_concurrency: tracking gaps at %d conns\n",
                    c);
+      return 1;
+    }
+    if (p.serial.deadlocks != 0) {
+      std::fprintf(stderr, "bench_concurrency: serial-leg deadlock at %d "
+                   "conns\n", c);
       return 1;
     }
     points.push_back(p);
@@ -241,11 +253,14 @@ int Main(int argc, char** argv) {
         "\"serial_wall_seconds\": %.6f, \"serial_txns_per_sec\": %.1f, "
         "\"concurrent_wall_seconds\": %.6f, "
         "\"concurrent_txns_per_sec\": %.1f, \"speedup\": %.3f, "
+        "\"serial_lock_waits\": %lld, \"serial_deadlocks\": %lld, "
         "\"lock_waits\": %lld, \"deadlocks\": %lld, "
         "\"tracking_gaps\": %lld}%s\n",
         p.connections, static_cast<long long>(p.concurrent.txns),
         p.serial.wall_seconds, p.serial.Throughput(),
         p.concurrent.wall_seconds, p.concurrent.Throughput(), p.Speedup(),
+        static_cast<long long>(p.serial.lock_waits),
+        static_cast<long long>(p.serial.deadlocks),
         static_cast<long long>(p.concurrent.lock_waits),
         static_cast<long long>(p.concurrent.deadlocks),
         static_cast<long long>(p.serial.tracking_gaps +

@@ -5,8 +5,10 @@
 // B+ tree's rightmost-append bulk-load fast path):
 //   heap   — table WITHOUT a primary key: every predicate heap-scans.
 //   index  — PRIMARY KEY(k): equality and BETWEEN predicates take the index.
-//   serial — same as index but in serial engine mode, to show the access
-//            path is a pure performance choice (state hashes must match).
+//   serial — same as index but in serial engine mode (one database X
+//            lock held to commit instead of key/table locks), to show the
+//            access path is a pure performance choice (state hashes must
+//            match).
 // The same seeded query stream (point lookups and BETWEEN range scans) runs
 // against each; per-leg result checksums and post-workload StateHash must be
 // identical — the index may never change answers, only speed. The obs

@@ -61,13 +61,16 @@ LockMode LockSupremum(LockMode a, LockMode b);
 
 // Name of a lockable resource. key_hash == 0 names the table itself; key
 // hashes have the low bit forced on and partition hashes the low bit off
-// and bit 1 on, so the three levels never collide.
+// and bit 1 on, so the three levels never collide. Table id 0 names no
+// table (catalog ids start at 1): it is the whole database, the one
+// resource the engine's serial policy locks.
 struct ResourceId {
   int32_t table_id = 0;
   uint64_t key_hash = 0;
 
   enum Level : int { kTableLevel = 0, kPartitionLevel = 1, kKeyLevel = 2 };
 
+  static ResourceId Database() { return {0, 0}; }
   static ResourceId Table(int32_t table_id) { return {table_id, 0}; }
   static ResourceId Partition(int32_t table_id, uint64_t hash) {
     return {table_id, (hash | 2) & ~uint64_t{1}};

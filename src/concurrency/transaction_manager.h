@@ -1,9 +1,9 @@
 // Transaction manager: owns the lock manager and the lifecycle of each
 // transaction's lock set. The engine registers a transaction at BEGIN,
-// funnels every lock request through Acquire*, and calls Commit/Abort
-// exactly once — which is where strict two-phase locking's "release
-// everything at end of transaction" rule is enforced (there is no API for
-// releasing a single lock early).
+// takes its locks through locks(), and calls Commit/Abort exactly once —
+// which is where strict two-phase locking's "release everything at end of
+// transaction" rule is enforced (there is no API for releasing a single
+// lock early).
 #pragma once
 
 #include <atomic>
@@ -41,15 +41,6 @@ class TransactionManager {
     locks_.ReleaseAll(txn_id);
     aborted_.fetch_add(1, std::memory_order_relaxed);
     active_.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  Status AcquireTable(int64_t txn_id, int32_t table_id, LockMode mode) {
-    return locks_.Acquire(txn_id, ResourceId::Table(table_id), mode);
-  }
-
-  Status AcquireKey(int64_t txn_id, int32_t table_id, uint64_t key_hash,
-                    LockMode mode) {
-    return locks_.Acquire(txn_id, ResourceId::Key(table_id, key_hash), mode);
   }
 
   LockManager& locks() { return locks_; }

@@ -99,14 +99,9 @@ void Database::CloseSession(int64_t session_id) {
     sp = it->second;
     sessions_.erase(it);
   }
-  if (serial_mode_) {
-    std::lock_guard<std::mutex> global(serial_mu_);
-    if (sp->in_txn) (void)RollbackTxn(*sp);  // abandon open work
-    return;
-  }
   std::lock_guard<std::mutex> session_lock(sp->mu);
-  if (sp->in_txn) {
-    (void)RollbackTxnConcurrent(*sp);
+  if (sp->in_txn) {  // abandon open work
+    (void)RollbackTxn(*sp);
     txn_mgr_.Abort(sp->txn_id);
   }
   sp->poisoned = false;
@@ -134,17 +129,12 @@ Result<ResultSet> Database::ExecuteParsed(int64_t session_id,
   if (sp == nullptr) {
     return Status::InvalidArgument("unknown session " + std::to_string(session_id));
   }
-  if (serial_mode_) {
-    std::lock_guard<std::mutex> global(serial_mu_);
-    return StatementOnSession(*sp, stmt, /*concurrent=*/false);
-  }
   std::lock_guard<std::mutex> session_lock(sp->mu);
-  return StatementOnSession(*sp, stmt, /*concurrent=*/true);
+  return StatementOnSession(*sp, stmt);
 }
 
 Result<ResultSet> Database::StatementOnSession(Session& s,
-                                               const sql::Statement& stmt,
-                                               bool concurrent) {
+                                               const sql::Statement& stmt) {
   stats_.statements.fetch_add(1, std::memory_order_relaxed);
   io_model_.AccountStatement();
 
@@ -154,7 +144,7 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
       s.poisoned = false;  // starting fresh acknowledges a prior abort
       s.quarantine_poisoned = false;
       BeginTxn(s);
-      if (concurrent) txn_mgr_.Begin(s.txn_id);
+      txn_mgr_.Begin(s.txn_id);
       return ResultSet{};
     case sql::StatementKind::kCommit: {
       if (s.poisoned) {
@@ -169,7 +159,7 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
       }
       if (!s.in_txn) return Status::FailedPrecondition("no open transaction");
       CommitTxn(s);
-      if (concurrent) txn_mgr_.Commit(s.txn_id);
+      txn_mgr_.Commit(s.txn_id);
       return ResultSet{};
     }
     case sql::StatementKind::kRollback: {
@@ -179,57 +169,47 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
         return ResultSet{};
       }
       if (!s.in_txn) return Status::FailedPrecondition("no open transaction");
-      Status rb = concurrent ? RollbackTxnConcurrent(s) : RollbackTxn(s);
-      if (concurrent) txn_mgr_.Abort(s.txn_id);
+      Status rb = RollbackTxn(s);
+      txn_mgr_.Abort(s.txn_id);
       IRDB_RETURN_IF_ERROR(rb);
       return ResultSet{};
     }
-    case sql::StatementKind::kCreateTable:
+    case sql::StatementKind::kCreateTable: {
       if (s.poisoned) {
         return s.quarantine_poisoned ? QuarantinePoisonedError()
                                      : PoisonedTxnError();
       }
-      if (concurrent) {
-        std::unique_lock<std::shared_mutex> ddl(catalog_latch_);
-        return ExecCreateTable(stmt);
-      }
+      std::unique_lock<std::shared_mutex> ddl(catalog_latch_);
       return ExecCreateTable(stmt);
-    case sql::StatementKind::kDropTable:
+    }
+    case sql::StatementKind::kDropTable: {
       if (s.poisoned) {
         return s.quarantine_poisoned ? QuarantinePoisonedError()
                                      : PoisonedTxnError();
       }
-      if (concurrent) {
-        std::unique_lock<std::shared_mutex> ddl(catalog_latch_);
-        // DDL bypasses the lock planner, so the quarantine gate is applied
-        // here: dropping a table with fenced slices would yank storage out
-        // from under the repair's compensation lanes.
-        if (quarantine_.active() && !s.quarantine_exempt) {
-          auto id = catalog_.TableId(stmt.table);
-          if (id.ok() &&
-              quarantine_.Blocks(concurrency::ResourceId::Table(*id),
-                                 concurrency::LockMode::kExclusive)) {
-            quarantine_.CountReject();
-            return Status::Unavailable(
-                std::string(kQuarantineTag) +
-                " table quarantined by online repair; retry after release");
-          }
+      std::unique_lock<std::shared_mutex> ddl(catalog_latch_);
+      // DDL bypasses the lock planner, so the quarantine gate is applied
+      // here: dropping a table with fenced slices would yank storage out
+      // from under the repair's compensation lanes.
+      if (quarantine_.active() && !s.quarantine_exempt) {
+        auto id = catalog_.TableId(stmt.table);
+        if (id.ok() &&
+            quarantine_.Blocks(concurrency::ResourceId::Table(*id),
+                               concurrency::LockMode::kExclusive)) {
+          quarantine_.CountReject();
+          return Status::Unavailable(
+              std::string(kQuarantineTag) +
+              " table quarantined by online repair; retry after release");
         }
-        return ExecDropTable(stmt);
       }
       return ExecDropTable(stmt);
+    }
     case sql::StatementKind::kCreateIndex:
     case sql::StatementKind::kDropIndex: {
       if (s.poisoned) {
         return s.quarantine_poisoned ? QuarantinePoisonedError()
                                      : PoisonedTxnError();
       }
-      auto exec = [&]() -> Result<ResultSet> {
-        return stmt.kind == sql::StatementKind::kCreateIndex
-                   ? ExecCreateIndex(stmt)
-                   : ExecDropIndex(stmt);
-      };
-      if (!concurrent) return exec();
       std::unique_lock<std::shared_mutex> ddl(catalog_latch_);
       // Same gate as DROP TABLE: index DDL rewrites table metadata the
       // repair's compensation lanes may be standing on.
@@ -250,7 +230,9 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
           }
         }
       }
-      return exec();
+      return stmt.kind == sql::StatementKind::kCreateIndex
+                 ? ExecCreateIndex(stmt)
+                 : ExecDropIndex(stmt);
     }
     default:
       break;
@@ -264,25 +246,9 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
   // DML / SELECT: autocommit when no transaction is open.
   const bool autocommit = !s.in_txn;
 
-  if (!concurrent) {
-    if (autocommit) BeginTxn(s);
-    Result<ResultSet> result = Dispatch(s, stmt);
-    if (result.ok()) {
-      JournalStmt(s, stmt, *result);
-      if (autocommit) CommitTxn(s);
-      return result;
-    }
-    // A failed statement aborts the enclosing transaction (statement-level
-    // atomicity is not implemented; the whole transaction is undone instead,
-    // like PostgreSQL's abort-until-rollback behaviour collapsed into one
-    // step).
-    (void)RollbackTxn(s);
-    return result;
-  }
-
-  // Concurrent path: derive the lock plan under the shared catalog latch,
-  // release it, then block on the 2PL locks (never wait on a lock while
-  // holding any latch), then execute under per-table latches.
+  // Derive the lock plan under the shared catalog latch, release it, then
+  // block on the 2PL locks (never wait on a lock while holding any latch),
+  // then execute under per-table latches.
   std::vector<LockPlanEntry> plan;
   s.probe = ProbeLocks{};
   {
@@ -320,7 +286,7 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
   }
   s.probe.txn_id = s.txn_id;
   s.probe.quarantine_exempt = s.quarantine_exempt;
-  Result<ResultSet> result = DispatchConcurrent(s, stmt);
+  Result<ResultSet> result = Dispatch(s, stmt);
   // A join probe whose key lock would have waited stopped the SELECT (no
   // side effects yet) and released its latches with it: wait for that lock
   // like any planned one — gate, deadlock detection and all — then re-run.
@@ -336,7 +302,7 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
         !locked.ok()) {
       return AbortDeadlockVictim(s, autocommit, std::move(locked));
     }
-    result = DispatchConcurrent(s, stmt);
+    result = Dispatch(s, stmt);
   }
   if (result.ok()) {
     JournalStmt(s, stmt, *result);
@@ -346,7 +312,11 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
     }
     return result;
   }
-  (void)RollbackTxnConcurrent(s);
+  // A failed statement aborts the enclosing transaction (statement-level
+  // atomicity is not implemented; the whole transaction is undone instead,
+  // like PostgreSQL's abort-until-rollback behaviour collapsed into one
+  // step).
+  (void)RollbackTxn(s);
   txn_mgr_.Abort(s.txn_id);
   return result;
 }
@@ -354,7 +324,7 @@ Result<ResultSet> Database::StatementOnSession(Session& s,
 Status Database::RejectQuarantined(Session& s, bool autocommit) {
   quarantine_.CountReject();
   if (s.in_txn) {
-    Status rb = RollbackTxnConcurrent(s);
+    Status rb = RollbackTxn(s);
     txn_mgr_.Abort(s.txn_id);
     if (!autocommit) {
       s.poisoned = true;
@@ -376,7 +346,7 @@ Status Database::AbortDeadlockVictim(Session& s, bool autocommit,
   // tag is widened to the retryable form; an explicit transaction's
   // client must acknowledge the abort with ROLLBACK before continuing.
   stats_.deadlock_aborts.fetch_add(1, std::memory_order_relaxed);
-  Status rb = RollbackTxnConcurrent(s);
+  Status rb = RollbackTxn(s);
   txn_mgr_.Abort(s.txn_id);
   IRDB_RETURN_IF_ERROR(rb);
   if (autocommit) {
@@ -388,26 +358,6 @@ Status Database::AbortDeadlockVictim(Session& s, bool autocommit,
 }
 
 Result<ResultSet> Database::Dispatch(Session& s, const sql::Statement& stmt) {
-  switch (stmt.kind) {
-    case sql::StatementKind::kSelect:
-      stats_.selects.fetch_add(1, std::memory_order_relaxed);
-      return ExecSelect(s, stmt);
-    case sql::StatementKind::kInsert:
-      stats_.inserts.fetch_add(1, std::memory_order_relaxed);
-      return ExecInsert(s, stmt);
-    case sql::StatementKind::kUpdate:
-      stats_.updates.fetch_add(1, std::memory_order_relaxed);
-      return ExecUpdate(s, stmt);
-    case sql::StatementKind::kDelete:
-      stats_.deletes.fetch_add(1, std::memory_order_relaxed);
-      return ExecDelete(s, stmt);
-    default:
-      return Status::Internal("Dispatch: unexpected statement kind");
-  }
-}
-
-Result<ResultSet> Database::DispatchConcurrent(Session& s,
-                                               const sql::Statement& stmt) {
   std::shared_lock<std::shared_mutex> cat(catalog_latch_);
   if (stmt.kind == sql::StatementKind::kSelect) {
     // Shared latches on every resolvable FROM table, in table-id order.
@@ -423,13 +373,28 @@ Result<ResultSet> Database::DispatchConcurrent(Session& s,
     std::vector<std::shared_lock<std::shared_mutex>> latches;
     latches.reserve(tabs.size());
     for (auto& [id, t] : tabs) latches.emplace_back(t->latch());
-    return Dispatch(s, stmt);
+    stats_.selects.fetch_add(1, std::memory_order_relaxed);
+    return ExecSelect(s, stmt);
   }
-  // DML targets one table: exclusive latch for the statement's duration.
-  HeapTable* t = catalog_.Find(stmt.table);
-  if (t == nullptr) return Dispatch(s, stmt);  // error path
-  std::unique_lock<std::shared_mutex> latch(t->latch());
-  return Dispatch(s, stmt);
+  // DML targets one table: exclusive latch for the statement's duration
+  // (none when the table is missing — the executor reports it).
+  std::unique_lock<std::shared_mutex> latch;
+  if (HeapTable* t = catalog_.Find(stmt.table)) {
+    latch = std::unique_lock<std::shared_mutex>(t->latch());
+  }
+  switch (stmt.kind) {
+    case sql::StatementKind::kInsert:
+      stats_.inserts.fetch_add(1, std::memory_order_relaxed);
+      return ExecInsert(s, stmt);
+    case sql::StatementKind::kUpdate:
+      stats_.updates.fetch_add(1, std::memory_order_relaxed);
+      return ExecUpdate(s, stmt);
+    case sql::StatementKind::kDelete:
+      stats_.deletes.fetch_add(1, std::memory_order_relaxed);
+      return ExecDelete(s, stmt);
+    default:
+      return Status::Internal("Dispatch: unexpected statement kind");
+  }
 }
 
 Result<HeapTable*> Database::RequireTable(const std::string& name) {
@@ -458,6 +423,19 @@ void Database::PlanStatementLocks(const sql::Statement& stmt,
                                   std::vector<size_t>* probe_depths) {
   using concurrency::LockMode;
   using concurrency::ResourceId;
+
+  if (serial_mode_) {
+    // Serial policy: one database X lock, held to commit like every 2PL
+    // lock, so transactions run one at a time. A single lock cannot
+    // deadlock, and no join probe locks anything.
+    if (stmt.kind == sql::StatementKind::kSelect ||
+        stmt.kind == sql::StatementKind::kInsert ||
+        stmt.kind == sql::StatementKind::kUpdate ||
+        stmt.kind == sql::StatementKind::kDelete) {
+      plan->push_back({ResourceId::Database(), LockMode::kExclusive});
+    }
+    return;
+  }
 
   const auto coarse = [&](int32_t table_id, LockMode mode) {
     plan->clear();
@@ -725,6 +703,20 @@ RowLoc FindRowByBytes(const HeapTable& table, int32_t page_hint,
 }  // namespace
 
 Status Database::RollbackTxn(Session& s) {
+  // The transaction's 2PL locks still cover every row it wrote; latches
+  // make the physical page edits safe against readers of those tables.
+  std::shared_lock<std::shared_mutex> cat(catalog_latch_);
+  std::vector<int32_t> ids;
+  ids.reserve(s.undo.size());
+  for (const UndoEntry& ue : s.undo) ids.push_back(ue.table_id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<std::unique_lock<std::shared_mutex>> latches;
+  latches.reserve(ids.size());
+  for (int32_t id : ids) {
+    HeapTable* t = catalog_.FindById(id);
+    if (t != nullptr) latches.emplace_back(t->latch());
+  }
   // Physically revert this transaction's changes, newest first. Rows are
   // relocated by byte equality (they only move within their page, and only
   // on DELETE compaction).
@@ -785,24 +777,6 @@ Status Database::RollbackTxn(Session& s) {
   stats_.rollbacks.fetch_add(1, std::memory_order_relaxed);
   obs::Count(obs::Metrics::Get().txn_aborts);
   return Status::Ok();
-}
-
-Status Database::RollbackTxnConcurrent(Session& s) {
-  // The transaction's 2PL locks still cover every row it wrote; latches
-  // make the physical page edits safe against readers of those tables.
-  std::shared_lock<std::shared_mutex> cat(catalog_latch_);
-  std::vector<int32_t> ids;
-  ids.reserve(s.undo.size());
-  for (const UndoEntry& ue : s.undo) ids.push_back(ue.table_id);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  std::vector<std::unique_lock<std::shared_mutex>> latches;
-  latches.reserve(ids.size());
-  for (int32_t id : ids) {
-    HeapTable* t = catalog_.FindById(id);
-    if (t != nullptr) latches.emplace_back(t->latch());
-  }
-  return RollbackTxn(s);
 }
 
 void Database::LogRowOp(Session& s, LogOp op, int32_t table_id,
@@ -1170,7 +1144,7 @@ int Database::EvictQuarantinePinnedTxns() {
     if (!session_lock.owns_lock()) continue;
     if (!sp->in_txn || sp->quarantine_exempt) continue;
     if (!quarantine_.HoldsOverlapping(txn_mgr_.locks(), sp->txn_id)) continue;
-    (void)RollbackTxnConcurrent(*sp);
+    (void)RollbackTxn(*sp);
     txn_mgr_.Abort(sp->txn_id);
     sp->poisoned = true;
     sp->quarantine_poisoned = true;

@@ -18,9 +18,11 @@
 // for reads, exclusive for writes), always taken after the planned 2PL
 // locks are granted and in table-id order, so latches never deadlock.
 //
-// set_serial_mode(true) restores the pre-lock-manager behaviour — one
-// global mutex around every statement — and exists as the baseline leg of
-// bench_concurrency.
+// set_serial_mode(true) is a lock-planning policy, not a second execution
+// path: every DML/SELECT plans one X lock on the database resource (and no
+// probe locks), held to COMMIT/ROLLBACK like any 2PL lock. Serial mode
+// therefore serializes whole transactions, not statements. It is the
+// baseline leg of bench_concurrency and bench_index.
 #pragma once
 
 #include <atomic>
@@ -79,9 +81,9 @@ class Database {
   // carries text, as the paper's portability argument requires).
   Result<ResultSet> ExecuteParsed(int64_t session_id, const sql::Statement& stmt);
 
-  // The lock plan the concurrent engine declares for `sql` before running
-  // it — resources in lock order, duplicates merged — and the FROM
-  // positions it locks per join probe instead. Parses and plans only.
+  // The lock plan the engine declares for `sql` before running it —
+  // resources in lock order, duplicates merged — and the FROM positions it
+  // locks per join probe instead. Parses and plans only.
   struct LockPlanView {
     std::vector<std::pair<concurrency::ResourceId, concurrency::LockMode>>
         locks;
@@ -113,11 +115,11 @@ class Database {
   const BufferPool& buffer_pool() const { return buffer_pool_; }
 
   // Online-repair quarantine gate (DESIGN.md §5g). Consulted on the
-  // concurrent statement path after lock planning: statements whose plan
-  // touches a quarantined slice — or whose open transaction already pins
-  // one — are rejected with a "[quarantine]"-tagged kUnavailable before any
-  // lock is acquired. Sessions marked exempt (the repair engine's own
-  // connections) bypass the gate.
+  // statement path after lock planning: statements whose plan touches a
+  // quarantined slice — or whose open transaction already pins one — are
+  // rejected with a "[quarantine]"-tagged kUnavailable before any lock is
+  // acquired. Sessions marked exempt (the repair engine's own connections)
+  // bypass the gate.
   concurrency::QuarantineManager& quarantine() { return quarantine_; }
   const concurrency::QuarantineManager& quarantine() const {
     return quarantine_;
@@ -169,9 +171,10 @@ class Database {
   std::optional<std::pair<int32_t, std::vector<std::string>>> TableKeyInfo(
       const std::string& table) const;
 
-  // Baseline mode for bench_concurrency: serializes every statement under
-  // one mutex and bypasses the lock manager, reproducing the engine this PR
-  // replaced. Setup-only — flip it before concurrent sessions start.
+  // Serial policy (baseline for bench_concurrency and bench_index): every
+  // statement's lock plan becomes one X lock on ResourceId::Database(),
+  // held to commit, so transactions run one at a time. Setup-only — flip it
+  // before concurrent sessions start.
   void set_serial_mode(bool on) { serial_mode_ = on; }
   bool serial_mode() const { return serial_mode_; }
 
@@ -196,11 +199,11 @@ class Database {
     concurrency::LockMode mode;
   };
 
-  // Join-probe locking for one statement (concurrent mode): the FROM
-  // positions whose rows the index nested-loop join locks as it probes
-  // them (the plan declares only IS on those tables), and the lock a probe
-  // could not take without waiting — the SELECT stops, lets go of its
-  // latches, and StatementOnSession blocks for that lock and re-runs it.
+  // Join-probe locking for one statement: the FROM positions whose rows
+  // the index nested-loop join locks as it probes them (the plan declares
+  // only IS on those tables), and the lock a probe could not take without
+  // waiting — the SELECT stops, lets go of its latches, and
+  // StatementOnSession blocks for that lock and re-runs it.
   struct ProbeLocks {
     int64_t txn_id = 0;
     bool quarantine_exempt = false;
@@ -244,14 +247,12 @@ class Database {
 
   std::shared_ptr<Session> FindSession(int64_t session_id);
 
-  // Shared statement path; `concurrent` selects 2PL + latches vs the
-  // serial-mode baseline (caller already holds serial_mu_ in that case).
-  Result<ResultSet> StatementOnSession(Session& s, const sql::Statement& stmt,
-                                       bool concurrent);
+  // The statement path: lock plan, quarantine gate, 2PL locks, then
+  // execution. Caller holds the session's mutex.
+  Result<ResultSet> StatementOnSession(Session& s, const sql::Statement& stmt);
 
+  // Runs a DML/SELECT under the catalog latch and per-table latches.
   Result<ResultSet> Dispatch(Session& s, const sql::Statement& stmt);
-  // Dispatch under the catalog latch and per-table latches.
-  Result<ResultSet> DispatchConcurrent(Session& s, const sql::Statement& stmt);
 
   Result<ResultSet> ExecSelect(Session& s, const sql::Statement& stmt);
   Result<ResultSet> ExecInsert(Session& s, const sql::Statement& stmt);
@@ -269,18 +270,18 @@ class Database {
 
   void BeginTxn(Session& s);
   void CommitTxn(Session& s);
+  // Undoes the open transaction under the catalog latch and exclusive
+  // latches on every table it touched.
   Status RollbackTxn(Session& s);
-  // RollbackTxn with the catalog latch and exclusive latches on every table
-  // the transaction touched (concurrent-mode physical safety).
-  Status RollbackTxnConcurrent(Session& s);
 
-  // --- lock planning (concurrent mode) ---
+  // --- lock planning ---
   // Derives the statement's lock plan from its AST. Called under the shared
   // catalog latch; conservative — anything not provably key-local coarsens
   // to a partition lock when the leading key column is pinned, to a table
   // lock otherwise. FROM positions locked per join probe go to
   // `probe_depths`. Never fails: unresolvable names produce an empty or
-  // partial plan and the executor reports the real error.
+  // partial plan and the executor reports the real error. Under the serial
+  // policy every DML/SELECT plans the database X lock alone.
   void PlanStatementLocks(const sql::Statement& stmt,
                           std::vector<LockPlanEntry>* plan,
                           std::vector<size_t>* probe_depths);
@@ -305,9 +306,9 @@ class Database {
       const Schema& schema, const std::vector<int>& key_columns,
       const std::vector<const sql::Expr*>& exprs,
       std::optional<uint64_t>* leading = nullptr);
-  // Statement-ending paths of the concurrent engine. Both roll back what
-  // the open transaction did; an explicit transaction's session is then
-  // poisoned until the client acknowledges with ROLLBACK.
+  // Statement-ending paths for a quarantine rejection and a lock abort.
+  // Both roll back what the open transaction did; an explicit transaction's
+  // session is then poisoned until the client acknowledges with ROLLBACK.
   Status RejectQuarantined(Session& s, bool autocommit);
   Status AbortDeadlockVictim(Session& s, bool autocommit, Status locked);
 
@@ -356,8 +357,7 @@ class Database {
   // lock (plan under the latch, release, acquire locks, re-take).
   mutable std::shared_mutex catalog_latch_;
 
-  bool serial_mode_ = false;
-  std::mutex serial_mu_;  // the old global mutex, serial mode only
+  bool serial_mode_ = false;  // read only by lock planning
 
   std::mutex sessions_mu_;
   std::unordered_map<int64_t, std::shared_ptr<Session>> sessions_;

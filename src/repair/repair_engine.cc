@@ -229,7 +229,8 @@ Result<OnlineRepairReport> RepairEngine::RepairOnline(
     const std::vector<int64_t>& seed_proxy_ids, const DbaPolicy& policy) {
   if (db_->serial_mode()) {
     return Status::FailedPrecondition(
-        "online repair requires the concurrent engine (serial_mode off)");
+        "online repair needs key locks; serial mode locks the whole "
+        "database (serial_mode off)");
   }
   // Claim the single online-repair slot; an overlapping repair is rejected
   // here with kFailedPrecondition and holds nothing.

@@ -99,8 +99,10 @@ class RepairEngine {
   //   3. Release: a table's slices leave the quarantine the moment its lane
   //      commits — availability recovers incrementally, not at the end.
   //
-  // Requires the concurrent engine (fails under serial_mode) and the single
-  // online-repair slot (a second concurrent call gets kFailedPrecondition).
+  // Fails with kFailedPrecondition under serial mode — its one database
+  // X lock, held to commit, leaves no unfenced slice to serve — and needs
+  // the single online-repair slot (a second concurrent call gets
+  // kFailedPrecondition too).
   // On a lane failure the unhealed tables STAY quarantined and the claim
   // stays held — run an offline Repair and then db->quarantine().End() to
   // recover; releasing the fence on error would re-expose contaminated rows.

@@ -2,8 +2,9 @@
 // (with SIX), FIFO fairness, upgrades, non-blocking TryAcquire, deadlock
 // detection, the anomalies strict 2PL must exclude (lost update, write
 // skew, phantoms across partitions) under real multi-threaded execution,
-// golden lock plans for every TPC-C statement shape, join-probe key locks,
-// the serial-vs-concurrent tracking-completeness property at 8 threads, and
+// golden lock plans for every TPC-C statement shape (serial policy too),
+// join-probe key locks, the serial-vs-concurrent tracking-completeness
+// property at 8 threads, serial mode's isolation of uncommitted writes, and
 // the guarantee that TPC-C terminals on disjoint warehouses never wait on
 // each other. Labelled `concurrency`; tools/run_chaos.sh runs this binary
 // under TSan as well.
@@ -340,42 +341,89 @@ void RunTxnWithRetry(DirectConnection& conn,
 }
 
 TEST(ConcurrentEngineTest, LostUpdatePreventedAcrossReadModifyWrite) {
+  for (const bool serial : {false, true}) {
+    SCOPED_TRACE(serial ? "serial mode" : "lock manager");
+    Database db(FlavorTraits::Postgres());
+    db.set_serial_mode(serial);
+    {
+      DirectConnection setup(&db);
+      ASSERT_TRUE(setup.Execute("CREATE TABLE acct (id INTEGER NOT NULL, "
+                                "bal INTEGER, PRIMARY KEY(id))")
+                      .ok());
+      ASSERT_TRUE(
+          setup.Execute("INSERT INTO acct (id, bal) VALUES (1, 0)").ok());
+    }
+    constexpr int kThreads = 8;
+    constexpr int kIters = 12;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&db] {
+        DirectConnection conn(&db);
+        for (int i = 0; i < kIters; ++i) {
+          // Read-modify-write across two statements: without 2PL (or with
+          // early lock release) increments are lost; the S->X upgrade race
+          // makes half of these deadlock and retry.
+          RunTxnWithRetry(conn, {"BEGIN",
+                                 "SELECT bal FROM acct WHERE id = 1",
+                                 "UPDATE acct SET bal = bal + 1 WHERE id = 1",
+                                 "COMMIT"});
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    DirectConnection check(&db);
+    auto r = check.Execute("SELECT bal FROM acct WHERE id = 1");
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r->rows.size(), 1u);
+    EXPECT_EQ(r->rows[0][0].as_int(), kThreads * kIters);
+    // Transaction bookkeeping balanced: everything begun was resolved.
+    auto ts = db.txn_manager().stats();
+    EXPECT_GT(ts.began, 0);
+    EXPECT_EQ(ts.active, 0);
+    EXPECT_EQ(ts.began, ts.committed + ts.aborted);
+    // The serial policy's single database lock cannot deadlock.
+    if (serial) {
+      EXPECT_EQ(db.txn_manager().locks().stats().deadlocks, 0);
+    }
+  }
+}
+
+// Serial mode is a lock policy held to commit, so it isolates transactions,
+// not just statements: a reader on another session waits for the writer's
+// database lock and, after the writer rolls back, reads the old value
+// rather than the uncommitted one.
+TEST(ConcurrentEngineTest, SerialModeHidesUncommittedWrites) {
   Database db(FlavorTraits::Postgres());
-  {
-    DirectConnection setup(&db);
-    ASSERT_TRUE(setup.Execute("CREATE TABLE acct (id INTEGER NOT NULL, bal "
-                              "INTEGER, PRIMARY KEY(id))")
-                    .ok());
-    ASSERT_TRUE(
-        setup.Execute("INSERT INTO acct (id, bal) VALUES (1, 0)").ok());
+  db.set_serial_mode(true);
+  DirectConnection writer(&db);
+  ASSERT_TRUE(writer.Execute("CREATE TABLE acct (id INTEGER NOT NULL, bal "
+                             "INTEGER, PRIMARY KEY(id))")
+                  .ok());
+  ASSERT_TRUE(writer.Execute("INSERT INTO acct (id, bal) VALUES (1, 10)").ok());
+  ASSERT_TRUE(writer.Execute("BEGIN").ok());
+  ASSERT_TRUE(writer.Execute("UPDATE acct SET bal = 99 WHERE id = 1").ok());
+
+  std::atomic<bool> read_done{false};
+  Result<ResultSet> seen = Status::Internal("reader never ran");
+  std::thread reader([&] {
+    DirectConnection conn(&db);
+    seen = conn.Execute("SELECT bal FROM acct WHERE id = 1");
+    read_done = true;
+  });
+  // Roll back once the reader is queued behind the database lock (or has
+  // already read — which only an engine without the lock lets it do).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (db.txn_manager().locks().stats().waits == 0 && !read_done.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  constexpr int kThreads = 8;
-  constexpr int kIters = 12;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&db] {
-      DirectConnection conn(&db);
-      for (int i = 0; i < kIters; ++i) {
-        // Read-modify-write across two statements: without 2PL (or with
-        // early lock release) increments are lost; the S->X upgrade race
-        // makes half of these deadlock and retry.
-        RunTxnWithRetry(conn, {"BEGIN",
-                               "SELECT bal FROM acct WHERE id = 1",
-                               "UPDATE acct SET bal = bal + 1 WHERE id = 1",
-                               "COMMIT"});
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  DirectConnection check(&db);
-  auto r = check.Execute("SELECT bal FROM acct WHERE id = 1");
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->rows.size(), 1u);
-  EXPECT_EQ(r->rows[0][0].as_int(), kThreads * kIters);
-  // Transaction bookkeeping balanced: everything begun was resolved.
-  auto ts = db.txn_manager().stats();
-  EXPECT_EQ(ts.active, 0);
-  EXPECT_EQ(ts.began, ts.committed + ts.aborted);
+  ASSERT_TRUE(writer.Execute("ROLLBACK").ok());
+  reader.join();
+  ASSERT_TRUE(seen.ok()) << seen.status().ToString();
+  ASSERT_EQ(seen->rows.size(), 1u);
+  EXPECT_EQ(seen->rows[0][0].as_int(), 10) << "read an uncommitted write";
+  EXPECT_EQ(db.txn_manager().locks().stats().deadlocks, 0);
 }
 
 TEST(ConcurrentEngineTest, WriteSkewExcludedByTwoPhaseLocking) {
@@ -479,10 +527,10 @@ TEST(ConcurrentEngineTest, ExplicitTxnDeadlockPoisonsUntilRollback) {
 }
 
 // Serial-vs-concurrent tracking completeness: the same 8-thread tracked
-// workload, run once under the lock manager and once under the serial-mode
-// global mutex, must record identical dependency metadata — every worker
-// transaction reads the seed row, so every trans_dep row carries the seed
-// writer's trid, and nothing lands in tracking_gaps.
+// workload, run once under the lock manager and once under the serial
+// policy's database lock, must record identical dependency metadata —
+// every worker transaction reads the seed row, so every trans_dep row
+// carries the seed writer's trid, and nothing lands in tracking_gaps.
 void RunTrackedWorkload(Database* db, bool serial,
                         int64_t* dep_rows_with_seed, int64_t* gap_rows) {
   db->set_serial_mode(serial);
@@ -709,6 +757,18 @@ TEST(LockPlanTest, GoldenPlansForEveryTpccStatementShape) {
   auto scan = db.ExplainLocks("SELECT COUNT(*) FROM customer");
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(RenderPlan(db, *scan, 1), "customer:T:S");
+
+  // The serial policy plans every shape as the database X lock alone, with
+  // no join-probe locks.
+  db.set_serial_mode(true);
+  for (const Shape& shape : shapes) {
+    auto view = db.ExplainLocks(shape.sql);
+    ASSERT_TRUE(view.ok()) << shape.sql << ": " << view.status().ToString();
+    ASSERT_EQ(view->locks.size(), 1u) << shape.sql;
+    EXPECT_TRUE(view->locks[0].first == ResourceId::Database()) << shape.sql;
+    EXPECT_EQ(view->locks[0].second, kX) << shape.sql;
+    EXPECT_TRUE(view->probe_depths.empty()) << shape.sql;
+  }
 }
 
 // Two-column primary key: the leading column is the partition.

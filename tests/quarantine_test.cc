@@ -6,8 +6,9 @@
 // kUnavailable), the open-transaction pin-abort path (no deadlock against
 // the repair's drain), and the RepairOnline edge cases from the issue:
 // empty closure (no-op, quarantine never visible afterwards), whole-table
-// closure, overlapping repairs rejected with a clear status, and online
-// repair converging to the same state as offline repair.
+// closure, overlapping repairs rejected with a clear status, refusal under
+// serial mode, and online repair converging to the same state as offline
+// repair.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -450,6 +451,28 @@ TEST(RepairOnlineTest, OverlappingRepairsRejectedWithClearStatus) {
   EXPECT_GE(rep2->slices_installed, 1);
   EXPECT_EQ(rep2->slices_released, rep2->slices_installed);
   EXPECT_FALSE(d.rdb->db().quarantine().active());
+}
+
+// Serving traffic around a fence needs key and partition locks; the serial
+// policy has only the database lock, so online repair is refused up front
+// and nothing is fenced or healed.
+TEST(RepairOnlineTest, SerialModeRefusedWithoutQuarantine) {
+  Deployment d;
+  d.RunBankHistory();
+  const int64_t attack = d.FindByLabel("Attack");
+  ASSERT_GT(attack, 0);
+  const uint64_t before = d.Hash({"account"});
+  d.rdb->db().set_serial_mode(true);
+
+  auto rep = d.rdb->repair().RepairOnline(
+      {attack}, repair::DbaPolicy::TrackEverything());
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(d.rdb->db().quarantine().active());
+  EXPECT_EQ(d.rdb->db().quarantine().stats().rejects_total, 0);
+  EXPECT_EQ(d.Hash({"account"}), before);
+  // Traffic still flows under the serial policy.
+  Must(d.conn.get(), "UPDATE account SET balance = balance WHERE id = 3");
 }
 
 TEST(RepairOnlineTest, KeyedClosureMatchesOfflineRepair) {
